@@ -218,7 +218,7 @@ def _morsel_partials(cluster, values):
     """Thread-local partial aggregate states of one morsel."""
     if cluster.groupby is not None:
         key_vars = cluster.groupby.args[0]
-        gids, reps, ngroups = ops.group_by([values[v] for v in key_vars])
+        gids, reps, ngroups, _ = ops.group_by([values[v] for v in key_vars])
         key_reps = [values[v].take(reps) for v in key_vars]
         states = [
             P.partial_aggregate(
@@ -281,7 +281,7 @@ def _merge(interp, plan, results):
             pack_values([r[2][1][k] for r in results])
             for k in range(len(key_vars))
         ]
-        ggids, greps, ngroups = ops.group_by(merged_keys)
+        ggids, greps, ngroups, _ = ops.group_by(merged_keys)
         gid_maps = []
         offset = 0
         for r in results:

@@ -563,8 +563,8 @@ class Interpreter:
             if probed is not None:
                 self._tactic = "hash_join"
                 return probed
-        self._tactic = "sort_merge"
-        return ops.join_pairs(left, right)
+        lidx, ridx, self._tactic = ops.join_pairs(left, right)
+        return lidx, ridx
 
     def _try_merge_join(self, left_var: int, right_var: int):
         lprov = self._prov.get(left_var)
@@ -692,8 +692,8 @@ class Interpreter:
                     if anti:
                         member = ~member
                     return np.flatnonzero(member).astype(np.int64)
-        self._tactic = "sort_merge"
-        return ops.semijoin_rows(left, right, anti, null_aware=null_aware)
+        rows, self._tactic = ops.semijoin_rows(left, right, anti, null_aware=null_aware)
+        return rows
 
     # -- grouping ---------------------------------------------------------------------------
 
@@ -730,8 +730,8 @@ class Interpreter:
                         index.representatives(),
                         index.group_count(),
                     )
-        self._tactic = "hash_group"
-        return ops.group_by(keys)
+        gids, reps, ngroups, self._tactic = ops.group_by(keys)
+        return gids, reps, ngroups
 
     def _op_gb_ids(self, instr):
         return self._get(instr.args[0])[0]
@@ -866,7 +866,7 @@ class Interpreter:
         # two branches of a set operation routinely differ in row count
         left = self._materialize_group([self._get(v) for v in left_vars])
         right = self._materialize_group([self._get(v) for v in right_vars])
-        member_rows = ops.semijoin_rows(
+        member_rows, _ = ops.semijoin_rows(
             left, right, anti=(op == "except"), null_equal=True
         )
         if all_flag:

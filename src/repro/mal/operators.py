@@ -28,24 +28,51 @@ __all__ = [
     "window_apply",
 ]
 
+#: dense kernels address at most this many slots per input row, which bounds
+#: every direct-address scratch array (CSR slots, presence bitmaps) at a
+#: small multiple of the input: never more than the sorts they replace
+_DENSE_FACTOR = 4
+_INT64_MAX = 2**63 - 1
+
+
+def _int_domain(vec: V) -> bool:
+    """True when equality on ``vec`` is equality of its int64 storage values
+    (INTEGER family, DATE/TIME/TIMESTAMP, DECIMAL); its NULL sentinel is
+    then the domain minimum."""
+    return (
+        not vec.type.is_variable
+        and vec.type.category != T.TypeCategory.FLOAT
+        and isinstance(vec.data, np.ndarray)
+        and vec.data.dtype.kind == "i"
+    )
+
+
+def _heap_ranks(vec: V) -> tuple:
+    """Order-preserving codes for a dictionary-deduplicated string vector.
+
+    Only the distinct heap offsets the vector uses are ranked by value
+    (NULL ranks as '' but stays its own code, ahead of a real '');
+    rows then gather their rank through the offset.  Returns (codes, ndistinct).
+    """
+    present = np.zeros(len(vec.heap), dtype=bool)
+    present[vec.data] = True
+    offsets = np.flatnonzero(present)
+    values = vec.heap.values_array()[offsets]
+    order = np.argsort(
+        np.asarray([v if v is not None else "" for v in values]), kind="stable"
+    )
+    rank = np.zeros(len(present), dtype=np.int64)
+    rank[offsets[order]] = np.arange(len(offsets), dtype=np.int64)
+    return rank[vec.data], len(offsets)
+
 
 def key_codes(vec: V) -> np.ndarray:
-    """Dense int64 codes for one key vector (equal values, equal codes).
-
-    Codes are *order-preserving* (produced by np.unique), which lets the
-    same encoding drive group-by, hash joins, sorting, and distinct.
+    """Order-preserving int64 codes for one key vector (equal values, equal
+    codes), which lets the same encoding drive grouping, sorting and distinct.
     """
     if vec.type.is_variable:
         if vec.heap is not None and vec.heap.dedup_active:
-            # offsets are already value-unique: cheap path
-            _, inverse = np.unique(vec.data, return_inverse=True)
-            # offset order is not value order; re-rank via the heap values
-            distinct_offsets = np.unique(vec.data)
-            values = vec.heap.values_array()[distinct_offsets]
-            rank = np.argsort(
-                np.argsort(np.asarray([v if v is not None else "" for v in values]))
-            )
-            return rank[inverse].astype(np.int64)
+            return _heap_ranks(vec)[0]
         objects = vec.objects()
         keys = np.asarray([s if s is not None else "" for s in objects])
         _, inverse = np.unique(keys, return_inverse=True)
@@ -62,29 +89,114 @@ def key_codes(vec: V) -> np.ndarray:
     return inverse.astype(np.int64)
 
 
-def combine_codes(code_arrays: list) -> np.ndarray:
-    """Combine several dense code arrays into one (row-identity) code."""
-    combined = code_arrays[0]
-    for codes in code_arrays[1:]:
-        width = int(codes.max()) + 1 if len(codes) else 1
-        combined = combined * width + codes
-        # re-densify to keep values small
-        _, combined = np.unique(combined, return_inverse=True)
-        combined = combined.astype(np.int64)
-    return combined
+def _int_extent(vec: V) -> tuple:
+    """(lo, hi, nulls) of an integer-domain vector: the range of its
+    non-NULL values ((None, None) when there are none) and its NULL mask
+    (None when it has no NULLs).
+
+    The NULL sentinel is the domain minimum, so the mask is only computed
+    when the minimum reaches it.
+    """
+    data = vec.data
+    if len(data) == 0:
+        return None, None, None
+    lo, hi = int(data.min()), int(data.max())
+    if lo > vec.type.null_value:
+        return lo, hi, None
+    nulls = data == vec.type.null_value
+    rest = data[~nulls]
+    if len(rest) == 0:
+        return None, None, nulls
+    return int(rest.min()), int(rest.max()), nulls
+
+
+def _int_codes(data: np.ndarray, lo: int | None, nulls) -> np.ndarray:
+    """``value - lo + 1`` as int64 for every non-NULL row, 0 for NULL.
+
+    ``lo`` is at most the smallest non-NULL value (None when there is
+    none), so codes keep value order with NULL first.
+    """
+    if lo is None:
+        return np.zeros(len(data), dtype=np.int64)
+    codes = data.astype(np.int64) - np.int64(lo - 1)
+    if nulls is not None:
+        codes[nulls] = 0
+    return codes
+
+
+def _group_key(vec: V, limit: int) -> tuple:
+    """(codes, cardinality, dense) for one grouping key.
+
+    Codes are order-preserving and lie in ``[0, cardinality)``.  ``dense``
+    means they came without sorting the rows: value offsets for an
+    integer key whose range fits ``limit`` (NULL takes code 0, first, as a
+    sort would put it), or heap-offset ranks for a deduplicated string.
+    Anything else is sorted by :func:`key_codes`.
+    """
+    if _int_domain(vec):
+        lo, hi, nulls = _int_extent(vec)
+        card = 1 if lo is None else hi - lo + 2
+        if card <= limit:
+            return _int_codes(vec.data, lo, nulls), card, True
+    elif vec.type.is_variable and vec.heap is not None and vec.heap.dedup_active:
+        codes, ndistinct = _heap_ranks(vec)
+        return codes, ndistinct, True
+    codes = key_codes(vec)
+    return codes, int(codes.max(initial=-1)) + 1, False
+
+
+def _group_codes(parts: list, n: int) -> tuple:
+    """Group rows by per-key (codes, cardinality, dense) triples.
+
+    Keys are combined mixed-radix into one int64 code whose order is the
+    lexicographic key order.  When the combined space fits the dense limit,
+    a presence bitmap and its prefix sum number the occupied codes in order;
+    otherwise one ``np.unique`` sorts the combined codes.  Either way group
+    ids follow key order and ``reps`` holds each group's first row.
+    Returns (gids, reps, ngroups, tactic).
+    """
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, 0, "dense"
+    combined, space, dense = parts[0]
+    for codes, card, key_dense in parts[1:]:
+        if space * card > _INT64_MAX:
+            # renumber the prefix densely so the product fits in int64
+            _, combined = np.unique(combined, return_inverse=True)
+            space = int(combined.max()) + 1
+            dense = False
+        combined = combined * card + codes
+        space *= card
+        dense &= key_dense
+    if space <= _DENSE_FACTOR * n:
+        present = np.zeros(space, dtype=bool)
+        present[combined] = True
+        gid_of = np.cumsum(present) - 1
+        gids = gid_of[combined]
+        ngroups = int(gid_of[-1]) + 1
+        reps = np.full(ngroups, n, dtype=np.int64)
+        np.minimum.at(reps, gids, np.arange(n, dtype=np.int64))
+        return gids, reps, ngroups, "dense" if dense else "sort"
+    uniques, reps, gids = np.unique(combined, return_index=True, return_inverse=True)
+    return gids.astype(np.int64), reps.astype(np.int64), len(uniques), "sort"
+
+
+def _group(key_vecs: list) -> tuple:
+    n = len(key_vecs[0].data)
+    return _group_codes([_group_key(vec, _DENSE_FACTOR * n) for vec in key_vecs], n)
 
 
 def group_by(key_vecs: list) -> tuple:
-    """Group rows by key vectors; returns (gids, reps, ngroups).
+    """Group rows by key vectors; returns (gids, reps, ngroups, tactic).
 
-    ``gids`` assigns each row its dense group id, ``reps`` holds the first
-    row of each group (for materializing group-key output columns).
+    ``gids`` assigns each row its dense group id (groups are numbered in
+    key order), ``reps`` holds the first row of each group (for
+    materializing group-key output columns).  ``tactic`` names the path
+    taken: ``dense`` when no key needed sorting, else ``sort``.
     """
     if not key_vecs:
         raise DatabaseError("group_by requires at least one key")
-    codes = combine_codes([key_codes(vec) for vec in key_vecs])
-    uniques, reps, gids = np.unique(codes, return_index=True, return_inverse=True)
-    return gids.astype(np.int64), reps.astype(np.int64), len(uniques)
+    return _group(key_vecs)
 
 
 def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = False):
@@ -116,10 +228,12 @@ def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = Fal
     present = ~nulls if nulls is not None else np.ones(n, dtype=bool)
 
     if distinct:
-        codes = key_codes(arg)
-        pair = combine_codes([gids[present], codes[present]])
-        _, first = np.unique(pair, return_index=True)
-        keep = np.flatnonzero(present)[first]
+        rows = np.flatnonzero(present)
+        codes, card, dense = _group_key(arg, _DENSE_FACTOR * n)
+        _, first, _, _ = _group_codes(
+            [(gids[rows], ngroups, True), (codes[rows], card, dense)], len(rows)
+        )
+        keep = rows[first]
         gids = gids[keep]
         data = data[keep]
         arg = V(arg.type, data, arg.heap)
@@ -247,12 +361,66 @@ def _string_minmax(func: str, arg: V, gids, ngroups):
 # -- joins -----------------------------------------------------------------------------------
 
 
+def _int_keys(left_vecs: list, right_vecs: list, null_equal: bool):
+    """Exact composite int64 keys for integer-domain join keys.
+
+    Each key column is offset by the smallest non-NULL value on either
+    side (NULL takes code 0) and the columns are combined mixed-radix, so
+    equal keys get equal codes and nothing passes through ``float64``.
+    Rows with a NULL key get -1 and never match, unless ``null_equal``.
+    Returns (left_keys, right_keys, space) with every code in
+    ``[-1, space)``, or None when some column pair is not integer-domain
+    on both sides (or DECIMALs of different scale), or the combined key
+    space does not fit in int64.
+    """
+    for lv, rv in zip(left_vecs, right_vecs):
+        if not (_int_domain(lv) and _int_domain(rv)) or lv.type.scale != rv.type.scale:
+            return None
+    columns = []
+    space = 1
+    for lv, rv in zip(left_vecs, right_vecs):
+        llo, lhi, lnull = _int_extent(lv)
+        rlo, rhi, rnull = _int_extent(rv)
+        los = [lo for lo in (llo, rlo) if lo is not None]
+        his = [hi for hi in (lhi, rhi) if hi is not None]
+        lo = min(los) if los else None
+        card = max(his) - lo + 2 if los else 1
+        space *= card
+        if space > _INT64_MAX:
+            return None
+        columns.append((lo, card, lnull, rnull))
+    lkeys = rkeys = lnulls = rnulls = None
+    for (lo, card, lnull, rnull), lv, rv in zip(columns, left_vecs, right_vecs):
+        lcodes = _int_codes(lv.data, lo, lnull)
+        rcodes = _int_codes(rv.data, lo, rnull)
+        lkeys = lcodes if lkeys is None else lkeys * card + lcodes
+        rkeys = rcodes if rkeys is None else rkeys * card + rcodes
+        lnulls = _or_mask(lnulls, lnull)
+        rnulls = _or_mask(rnulls, rnull)
+    if not null_equal:
+        if lnulls is not None:
+            lkeys[lnulls] = -1
+        if rnulls is not None:
+            rkeys[rnulls] = -1
+    return lkeys, rkeys, space
+
+
+def _or_mask(acc, mask):
+    if mask is None:
+        return acc
+    return mask if acc is None else acc | mask
+
+
 def _shared_codes(left_vecs: list, right_vecs: list, null_equal: bool = False):
     """Factorize both sides' composite keys into one shared code space.
 
-    NULL keys receive code -1 and never match — unless ``null_equal``,
-    where NULL keeps its per-column code and equals NULL (the grouping
-    semantics set operations and DISTINCT use).
+    The sort-based path for keys :func:`_int_keys` does not take: strings,
+    floats, and integer keys whose space overflows int64.  Each column
+    pair is coded by one joint ``np.unique`` — through ``float64`` only
+    when one side really is FLOAT, so integer keys stay exact.  NULL keys
+    receive code -1 and never match — unless ``null_equal``, where NULL
+    is one more per-column code and equals NULL (the grouping semantics
+    set operations and DISTINCT use).
     """
     left_parts = []
     right_parts = []
@@ -263,36 +431,30 @@ def _shared_codes(left_vecs: list, right_vecs: list, null_equal: bool = False):
     for lv, rv in zip(left_vecs, right_vecs):
         lnull = lv.null_mask(nl)
         rnull = rv.null_mask(nr)
-        if lnull is not None:
-            left_null |= lnull
-        if rnull is not None:
-            right_null |= rnull
+        if lnull is None:
+            lnull = np.zeros(nl, dtype=bool)
+        if rnull is None:
+            rnull = np.zeros(nr, dtype=bool)
+        left_null |= lnull
+        right_null |= rnull
         if lv.type.is_variable or rv.type.is_variable:
-            lobj = lv.objects()
-            robj = rv.objects()
             both = np.concatenate(
                 [
-                    np.asarray([s if s is not None else "" for s in lobj]),
-                    np.asarray([s if s is not None else "" for s in robj]),
+                    np.asarray([s if s is not None else "" for s in lv.objects()]),
+                    np.asarray([s if s is not None else "" for s in rv.objects()]),
                 ]
             )
-            _, inverse = np.unique(both, return_inverse=True)
-            inverse = inverse.astype(np.int64) + 1
-            null_cat = np.concatenate(
-                [
-                    lnull if lnull is not None else np.zeros(nl, dtype=bool),
-                    rnull if rnull is not None else np.zeros(nr, dtype=bool),
-                ]
+        elif T.TypeCategory.FLOAT in (lv.type.category, rv.type.category):
+            both = np.concatenate(
+                [lv.data.astype(np.float64), rv.data.astype(np.float64)]
             )
-            inverse[null_cat] = 0  # NULL is its own key, distinct from ''
         else:
-            ldata = lv.data.astype(np.float64, copy=False)
-            rdata = rv.data.astype(np.float64, copy=False)
-            both = np.concatenate([ldata, rdata])
-            both = np.where(np.isnan(both), -np.inf, both)
-            _, inverse = np.unique(both, return_inverse=True)
-        left_parts.append(inverse[:nl].astype(np.int64))
-        right_parts.append(inverse[nl:].astype(np.int64))
+            both = np.concatenate([lv.data.astype(np.int64), rv.data.astype(np.int64)])
+        _, inverse = np.unique(both, return_inverse=True)
+        inverse = inverse.astype(np.int64) + 1
+        inverse[np.concatenate([lnull, rnull])] = 0  # NULL is its own key
+        left_parts.append(inverse[:nl])
+        right_parts.append(inverse[nl:])
     left_codes, right_codes = combine_joint(left_parts, right_parts)
     if null_equal:
         return left_codes, right_codes
@@ -314,32 +476,86 @@ def combine_joint(left_parts: list, right_parts: list):
     return left, right
 
 
-def join_pairs(left_vecs: list, right_vecs: list):
-    """All matching (left_row, right_row) pairs of an equi-join.
+def _join_keys(left_vecs: list, right_vecs: list, null_equal: bool = False):
+    """(left_keys, right_keys, space, tactic) for a join or semijoin.
 
-    Sort-merge style: the right side is ordered by key code once, the left
-    side probes with two binary searches per distinct code — the behavior of
-    a bulk hash join, implemented on sorted arrays.
+    ``direct`` when the exact integer key space (``space`` codes) fits the
+    dense limit, ``sorted_probe`` when it is exact but wider, ``sort_merge``
+    when the keys had to be factorized by :func:`_shared_codes`.
     """
-    left_codes, right_codes = _shared_codes(left_vecs, right_vecs)
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    lo = np.searchsorted(sorted_codes, left_codes, side="left")
-    hi = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = hi - lo
-    valid = left_codes >= 0
-    counts = np.where(valid, counts, 0)
-    lidx = np.repeat(np.arange(len(left_codes), dtype=np.int64), counts)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
+    keys = _int_keys(left_vecs, right_vecs, null_equal)
+    if keys is None:
+        lkeys, rkeys = _shared_codes(left_vecs, right_vecs, null_equal)
+        return lkeys, rkeys, None, "sort_merge"
+    lkeys, rkeys, space = keys
+    if space <= _DENSE_FACTOR * (len(lkeys) + len(rkeys)):
+        return lkeys, rkeys, space, "direct"
+    return lkeys, rkeys, space, "sorted_probe"
+
+
+def _expand(counts: np.ndarray, starts: np.ndarray, order: np.ndarray):
+    """Pairs from each left row's match count and first position in ``order``
+    (right rows grouped by key, ascending within a key)."""
+    if counts.max(initial=0) <= 1:
+        # every probe hits at most one row: no repeat/offset expansion
+        lidx = np.flatnonzero(counts)
+        return lidx, order[starts[lidx]]
+    lidx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    offsets = np.arange(len(lidx), dtype=np.int64) - np.repeat(
         np.cumsum(counts) - counts, counts
     )
-    ridx = order[starts + offsets]
-    return lidx, ridx
+    return lidx, order[np.repeat(starts, counts) + offsets]
+
+
+def join_pairs(left_vecs: list, right_vecs: list):
+    """All matching (left_row, right_row) pairs of an equi-join, ordered by
+    left row and, within a left row, by right row; returns
+    (lidx, ridx, tactic) with ``tactic`` as chosen by :func:`_join_keys`.
+
+    The right side is the build side.  On a ``direct`` key space it becomes
+    a direct-address table — one slot per key when the build keys are
+    unique, else a CSR of row lists — and each left key is probed by
+    indexing.  Otherwise the right side is sorted once and each left key
+    probed by two binary searches.
+    """
+    lkeys, rkeys, space, tactic = _join_keys(left_vecs, right_vecs)
+    if tactic == "direct":
+        return (*_direct_join(lkeys, rkeys, space), tactic)
+    order = np.argsort(rkeys, kind="stable")
+    sorted_keys = rkeys[order]
+    # probe with ascending needles, then scatter back: binary searches then
+    # walk the sorted build keys in order instead of missing cache on every
+    # step (TPC-H Q5 at SF 0.1, 165k probes into 600k build rows on a Xeon:
+    # 20 ms instead of 92 ms in row order)
+    probe = np.argsort(lkeys)
+    needles = lkeys[probe]
+    lo = np.searchsorted(sorted_keys, needles, side="left")
+    starts = np.empty(len(lkeys), dtype=np.int64)
+    counts = np.empty(len(lkeys), dtype=np.int64)
+    starts[probe] = lo
+    counts[probe] = np.searchsorted(sorted_keys, needles, side="right") - lo
+    counts[lkeys < 0] = 0
+    return (*_expand(counts, starts, order), tactic)
+
+
+def _direct_join(lkeys: np.ndarray, rkeys: np.ndarray, space: int):
+    # one slot past the key space stays empty: -1 (NULL) keys index it
+    valid = rkeys >= 0
+    slot = np.full(space + 1, -1, dtype=np.int64)
+    slot[rkeys] = np.arange(len(rkeys), dtype=np.int64)
+    slot[space] = -1
+    if np.count_nonzero(slot >= 0) == np.count_nonzero(valid):
+        # unique build keys: the slot is the matching right row
+        hit = slot[lkeys]
+        lidx = np.flatnonzero(hit >= 0)
+        return lidx, hit[lidx]
+    del slot
+    rows = np.flatnonzero(valid)
+    keys = rkeys[rows]
+    counts = np.bincount(keys, minlength=space + 1)
+    starts = np.cumsum(counts) - counts
+    order = rows[np.argsort(keys, kind="stable")]
+    return _expand(counts[lkeys], starts[lkeys], order)
 
 
 def semijoin_rows(
@@ -348,8 +564,9 @@ def semijoin_rows(
     anti: bool = False,
     null_equal: bool = False,
     null_aware: bool = False,
-) -> np.ndarray:
-    """Left row ids with (or without, for anti) a match on the right.
+) -> tuple:
+    """Left row ids with (or without, for anti) a match on the right;
+    returns (rows, tactic) with ``tactic`` as chosen by :func:`_join_keys`.
 
     ``null_equal`` switches from join semantics (NULL matches nothing) to
     the grouping semantics of INTERSECT/EXCEPT, where NULL equals NULL.
@@ -357,23 +574,24 @@ def semijoin_rows(
     an empty right side keeps every left row, any NULL on the right
     keeps none, and NULL left keys are dropped.
     """
-    left_codes, right_codes = _shared_codes(left_vecs, right_vecs, null_equal)
+    lkeys, rkeys, space, tactic = _join_keys(left_vecs, right_vecs, null_equal)
     if anti and null_aware:
-        n = len(left_codes)
-        if len(right_codes) == 0:
-            return np.arange(n, dtype=np.int64)
-        if np.any(right_codes < 0):
-            return np.empty(0, dtype=np.int64)
-        member = np.isin(left_codes, right_codes) | (left_codes < 0)
-        return np.flatnonzero(~member).astype(np.int64)
-    if null_equal:
-        member = np.isin(left_codes, right_codes)
+        if len(rkeys) == 0:
+            return np.arange(len(lkeys), dtype=np.int64), tactic
+        if np.any(rkeys < 0):
+            return np.empty(0, dtype=np.int64), tactic
+    if tactic == "direct":
+        present = np.zeros(space + 1, dtype=bool)
+        present[rkeys] = True
+        present[space] = False  # where the -1 (NULL) keys land
+        member = present[lkeys]
     else:
-        member = np.isin(left_codes, right_codes[right_codes >= 0])
-        member &= left_codes >= 0
+        member = np.isin(lkeys, rkeys[rkeys >= 0], kind="sort") & (lkeys >= 0)
+    if anti and null_aware:
+        member |= lkeys < 0
     if anti:
         member = ~member
-    return np.flatnonzero(member).astype(np.int64)
+    return np.flatnonzero(member), tactic
 
 
 # -- sorting / distinct -------------------------------------------------------------------------
@@ -519,11 +737,7 @@ def window_context(
     if n == 0:
         return WindowContext(0, empty, empty, empty, empty, empty, empty, empty, 0)
 
-    part_codes = (
-        combine_codes([key_codes(vec) for vec in part_vecs])
-        if part_vecs
-        else np.zeros(n, dtype=np.int64)
-    )
+    part_codes = _group(part_vecs)[0] if part_vecs else np.zeros(n, dtype=np.int64)
     order_codes = []
     for vec, desc, nf in zip(order_vecs, descending, nulls_first):
         codes = _sortable_codes(vec, n, nf, desc)
@@ -751,6 +965,4 @@ def distinct_rows(vecs: list) -> np.ndarray:
     """Row ids of the first occurrence of each distinct full row."""
     if not vecs:
         return np.zeros(1, dtype=np.int64)
-    codes = combine_codes([key_codes(vec) for vec in vecs])
-    _, first = np.unique(codes, return_index=True)
-    return np.sort(first).astype(np.int64)
+    return np.sort(_group(vecs)[1])

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
 import repro
 from repro.core.database import Database
+
+
+def pytest_addoption(parser):
+    # ``timeout`` in pyproject.toml is pytest-timeout's per-test ceiling;
+    # where the plugin is not installed, declare the key so pytest does not
+    # warn about an unknown option (the plugin registers it itself)
+    if importlib.util.find_spec("pytest_timeout") is None:
+        parser.addini("timeout", "per-test timeout in seconds (pytest-timeout)")
 
 
 @pytest.fixture

@@ -130,12 +130,28 @@ class TestQueryTrace:
             "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k"
         )
         joins = [rec for rec in trace.records if rec.op == "join"]
-        assert joins and joins[0].tactic in (
-            "hash_join", "merge_join", "sort_merge"
+        # small dense INTEGER keys: the direct-address build/probe kernel
+        assert joins and joins[0].tactic == "direct"
+        _, trace = conn.trace_query(
+            "SELECT l.v FROM l JOIN r ON l.k = r.k * 1000000"
         )
+        joins = [rec for rec in trace.records if rec.op == "join"]
+        assert joins and joins[0].tactic == "sorted_probe"
+        conn.execute("CREATE TABLE s (k VARCHAR, w INTEGER)")
+        conn.execute("INSERT INTO s VALUES ('2', 1)")
+        _, trace = conn.trace_query(
+            "SELECT l.v FROM l JOIN s ON CAST(l.k AS VARCHAR) = s.k"
+        )
+        joins = [rec for rec in trace.records if rec.op == "join"]
+        assert joins and joins[0].tactic == "sort_merge"
         _, trace = conn.trace_query("SELECT k, count(*) FROM l GROUP BY k")
         groups = [rec for rec in trace.records if rec.op == "groupby"]
-        assert groups and groups[0].tactic in ("hash_group", "hash_index")
+        assert groups and groups[0].tactic in ("dense", "hash_index")
+        _, trace = conn.trace_query(
+            "SELECT k * 1000000, count(*) FROM l GROUP BY k * 1000000"
+        )
+        groups = [rec for rec in trace.records if rec.op == "groupby"]
+        assert groups and groups[0].tactic == "sort"
 
     def test_summary_and_render(self, conn):
         conn.execute("CREATE TABLE s (v INTEGER)")

@@ -315,3 +315,64 @@ class TestDecimalScale:
             "SELECT s.c2 * -6.24 FROM (SELECT 3.83 AS c2 FROM ds) s"
         ).scalar()
         assert value == pytest.approx(-23.8992)
+
+
+class TestExactIntegerKeys:
+    """BIGINT keys above 2^53 are distinct even though float64 cannot
+    tell 2^53 from 2^53 + 1: joins, IN, and set operations compare them
+    exactly."""
+
+    @pytest.fixture
+    def wide(self, conn):
+        conn.execute("CREATE TABLE a (k BIGINT)")
+        conn.execute("CREATE TABLE b (k BIGINT)")
+        conn.execute("INSERT INTO a VALUES (9007199254740992), (9007199254740993)")
+        conn.execute("INSERT INTO b VALUES (9007199254740993)")
+        return conn
+
+    def test_join(self, wide):
+        rows = wide.query("SELECT a.k FROM a JOIN b ON a.k = b.k").fetchall()
+        assert rows == [(9007199254740993,)]
+
+    def test_in_subquery(self, wide):
+        rows = wide.query("SELECT k FROM a WHERE k IN (SELECT k FROM b)").fetchall()
+        assert rows == [(9007199254740993,)]
+
+    def test_not_in_subquery(self, wide):
+        rows = wide.query(
+            "SELECT k FROM a WHERE k NOT IN (SELECT k FROM b)"
+        ).fetchall()
+        assert rows == [(9007199254740992,)]
+
+    def test_intersect(self, wide):
+        rows = wide.query("SELECT k FROM a INTERSECT SELECT k FROM b").fetchall()
+        assert rows == [(9007199254740993,)]
+
+    def test_except(self, wide):
+        rows = wide.query("SELECT k FROM a EXCEPT SELECT k FROM b").fetchall()
+        assert rows == [(9007199254740992,)]
+
+    def test_group_by(self, wide):
+        rows = wide.query(
+            "SELECT k, count(*) FROM (SELECT k FROM a UNION ALL SELECT k FROM b) u "
+            "GROUP BY k ORDER BY k"
+        ).fetchall()
+        assert rows == [(9007199254740992, 1), (9007199254740993, 2)]
+
+
+class TestDistinctAggregateEmpty:
+    """count(DISTINCT ...) over no rows groups an empty key space."""
+
+    def test_empty_table(self, conn):
+        conn.execute("CREATE TABLE e (k INTEGER, s VARCHAR)")
+        assert conn.query("SELECT count(DISTINCT k) FROM e").scalar() == 0
+        assert conn.query("SELECT count(DISTINCT s) FROM e").scalar() == 0
+        rows = conn.query("SELECT k, count(DISTINCT s) FROM e GROUP BY k").fetchall()
+        assert rows == []
+
+    def test_all_null(self, conn):
+        conn.execute("CREATE TABLE e (k INTEGER, s VARCHAR)")
+        conn.execute("INSERT INTO e VALUES (NULL, NULL), (NULL, NULL)")
+        assert conn.query("SELECT count(DISTINCT k) FROM e").scalar() == 0
+        rows = conn.query("SELECT k, count(DISTINCT s) FROM e GROUP BY k").fetchall()
+        assert rows == [(None, 0)]
