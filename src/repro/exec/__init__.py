@@ -7,8 +7,8 @@ package is the second execution engine: it partitions a compiled program
 into pipeline *fragments* at blocking boundaries (sort, full aggregate,
 top-N merge, join build sides), splits the base table into fixed-size
 morsels, and runs the whole fragment per morsel on the shared worker
-pool — selection vectors and partial aggregate states stay thread-local,
-and merge kernels combine partial states at the breaker (HyPer's
+pool — selection vectors and aggregate states stay thread-local, and
+the aggregates' merge step combines the states at the breaker (HyPer's
 morsel-driven parallelism, grafted onto the paper's Figure 2 mitosis).
 
 Modules (imported lazily to keep ``repro.mal`` -> ``repro.exec.morsels``
@@ -16,7 +16,6 @@ free of import cycles):
 
 ``morsels``    the shared morsel splitter and chunk packer
 ``fragments``  pipeline-breaker analysis over ``repro.mal.program``
-``partial``    partial/combine variants of the aggregate kernels
 ``executor``   the morsel dispatcher driving the worker pool
 ``stats``      live executor counters behind ``sys.exec_stats``
 """

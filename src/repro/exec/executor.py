@@ -10,11 +10,12 @@ large enough, it:
    on the database's shared pool — runners pull morsel indexes from a
    shared counter (dynamic dispatch: fast workers take more morsels);
 3. each runner executes the whole fragment over its morsel — selection
-   vectors, intermediates, and partial aggregate states stay local to
+   vectors, intermediates, and aggregate states stay local to
    the worker, no synchronization inside the pipeline;
 4. the coordinator merges at the breaker: packed live-out vectors are
    concatenated in morsel order (selection vectors re-based to global
-   row ids), partial aggregate states are combined by the merge kernels;
+   row ids), per-morsel aggregate states are merged and finished
+   (``agg_merge`` / ``agg_finish`` in ``repro.mal.operators``);
 5. the interpreter resumes with the suffix instructions, skipping every
    var the fragment already produced.
 
@@ -30,7 +31,6 @@ import time
 
 import numpy as np
 
-from repro.exec import partial as P
 from repro.exec.fragments import analyze_program
 from repro.exec.morsels import morsel_bounds, pack_values
 from repro.mal import operators as ops
@@ -139,10 +139,10 @@ def try_morsel_execute(interp, program):
         domains = {
             v: len(values[d]) for v, d in plan.ids_domains.items()
         }
-        partials = (
-            _morsel_partials(cluster, values) if cluster is not None else None
+        states = (
+            _morsel_states(cluster, values) if cluster is not None else None
         )
-        return packed, domains, partials
+        return packed, domains, states
 
     def runner():
         busy = 0
@@ -210,44 +210,27 @@ def _vectors_length(inputs):
     return 1
 
 
-def _zero_gids(n):
-    return np.zeros(n, dtype=np.int64)
-
-
-def _morsel_partials(cluster, values):
-    """Thread-local partial aggregate states of one morsel."""
+def _morsel_states(cluster, values):
+    """Thread-local aggregate states of one morsel: (ngroups, key_reps,
+    [(arg_type, state)] per aggregate)."""
     if cluster.groupby is not None:
         key_vars = cluster.groupby.args[0]
         gids, reps, ngroups, _ = ops.group_by([values[v] for v in key_vars])
         key_reps = [values[v].take(reps) for v in key_vars]
-        states = [
-            P.partial_aggregate(
-                agg.args[0],
-                values[agg.args[1]] if agg.args[1] is not None else None,
-                gids,
-                ngroups,
-            )
-            for agg in cluster.aggs
-        ]
-        return ngroups, key_reps, states
-
+    else:
+        gids, ngroups, key_reps = None, 1, []
     states = []
     for agg in cluster.aggs:
-        func, arg_var = agg.args[0], agg.args[1]
-        anchor_var = agg.args[5]
-        if arg_var is None:  # COUNT(*): cardinality comes from the anchor
-            n = len(values[anchor_var].data)
-            states.append(
-                P.partial_aggregate("count_star", None, _zero_gids(n), 1)
-            )
-            continue
-        arg = values[arg_var]
-        if arg.is_scalar:
-            n = len(values[anchor_var].data)
-        else:
-            n = len(arg.data)
-        states.append(P.partial_aggregate(func, arg, _zero_gids(n), 1))
-    return 1, [], states
+        func, arg_var, anchor_var = agg.args[0], agg.args[1], agg.args[5]
+        arg = values[arg_var] if arg_var is not None else None
+        agg_gids = gids
+        if agg_gids is None:
+            # global: COUNT(*) and scalar arguments take the anchor's length
+            anchor = arg if arg is not None and not arg.is_scalar else values[anchor_var]
+            agg_gids = np.zeros(len(anchor.data), dtype=np.int64)
+        state = ops.agg_state(func, arg, agg_gids, ngroups)
+        states.append((arg.type if arg is not None else None, state))
+    return ngroups, key_reps, states
 
 
 def _merge(interp, plan, results):
@@ -271,7 +254,7 @@ def _merge(interp, plan, results):
     if cluster is None:
         return
 
-    # 2. merge partial aggregate states at the breaker
+    # 2. merge and finish the morsels' aggregate states at the breaker
     if cluster.groupby is not None:
         key_vars = cluster.groupby.args[0]
         # re-group the morsels' group representatives: every local group
@@ -293,11 +276,15 @@ def _merge(interp, plan, results):
             interp._values[take.var] = merged_keys[key_index].take(greps)
     else:
         ngroups = 1
-        gid_maps = [_zero_gids(r[2][0]) for r in results]
+        gid_maps = [np.zeros(1, dtype=np.int64) for _ in results]
 
     for index, agg in enumerate(cluster.aggs):
-        states = [r[2][2][index] for r in results]
-        values, null_mask = P.merge_partials(states, gid_maps, ngroups)
+        func = agg.args[0]
+        arg_type = results[0][2][2][index][0]
+        state = ops.agg_merge(
+            func, [r[2][2][index][1] for r in results], gid_maps, ngroups
+        )
+        values, null_mask = ops.agg_finish(func, arg_type, state, ngroups)
         interp._values[agg.var] = interp._wrap_agg(
             values, null_mask, agg.args[6]
         )

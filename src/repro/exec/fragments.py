@@ -11,8 +11,9 @@ Two breaker treatments exist:
 
 * an **aggregate cluster** (``groupby``/``gb_ids``/``gb_reps`` plus the
   ``agg`` instructions over it, or bare global ``agg`` instructions) is
-  absorbed into the fragment: each morsel computes partial per-group
-  states and the executor merges them (``repro.exec.partial``);
+  absorbed into the fragment: each morsel computes per-group aggregate
+  states and the executor merges and finishes them (``agg_state`` /
+  ``agg_merge`` / ``agg_finish`` in ``repro.mal.operators``);
 * any other consumer forces a **pack**: the fragment's live-out vectors
   are concatenated in morsel order and the interpreter resumes with the
   remaining instructions, seeing exactly the values sequential execution
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.mal.operators import AGG_MERGE_KINDS
 from repro.mal.program import Instruction, MALProgram
 from repro.obs.trace import instruction_inputs
 
@@ -37,13 +39,10 @@ __all__ = [
     "SUPPORTED_PARTIAL_FUNCS",
 ]
 
-#: aggregate functions with a partial/combine decomposition in
-#: ``repro.exec.partial`` (DISTINCT variants are never decomposable —
+#: aggregate functions whose state merges across morsels: the keys of the
+#: state / merge / finish spec (DISTINCT variants are never decomposable —
 #: they fall back to pack mode automatically)
-SUPPORTED_PARTIAL_FUNCS = frozenset(
-    ["count_star", "count", "sum", "avg", "min", "max", "median",
-     "stddev", "var"]
-)
+SUPPORTED_PARTIAL_FUNCS = frozenset(AGG_MERGE_KINDS)
 
 #: ops that may run inside a fragment (everything else breaks the pipeline)
 _FRAGMENT_OPS = frozenset(["bind", "map", "pred", "ids", "take"])

@@ -199,6 +199,43 @@ def group_by(key_vecs: list) -> tuple:
     return _group(key_vecs)
 
 
+# -- aggregates ------------------------------------------------------------------------------
+#
+# Each aggregate is defined once, as three steps: ``agg_state`` (the
+# transition: per-group state arrays over a batch of rows), ``agg_merge``
+# (combine the states of several batches, slot by slot) and ``agg_finish``
+# (the terminate step: state -> (values, null_mask)).  The blocking kernel,
+# the morsel breaker and the framed window kernels are all built from them.
+
+#: merge kind of every state slot, per aggregate; its keys are exactly the
+#: aggregates that decompose over row batches.  "add" and "min"/"max"
+#: slots hold one entry per group, the "concat" slot per-row (gids, values).
+#: States stay in the argument's storage domain (DECIMALs unscaled):
+#:
+#: ===========  ==================================================================
+#: count_star   (counts,)
+#: count        (non-NULL counts,)
+#: sum          (sums, counts): int64 for INTEGER/DECIMAL, so exact; else float64
+#: avg          (sums, counts): float64 sums
+#: min, max     (extremes, counts): int64 (float64 for FLOAT, objects for strings)
+#: median       ((gids, values),) over the non-NULL rows
+#: stddev, var  (sums, sums of squares, counts): float64
+#: ===========  ==================================================================
+AGG_MERGE_KINDS = {
+    "count_star": ("add",),
+    "count": ("add",),
+    "sum": ("add", "add"),
+    "avg": ("add", "add"),
+    "min": ("min", "add"),
+    "max": ("max", "add"),
+    "median": ("concat",),
+    "stddev": ("add", "add", "add"),
+    "var": ("add", "add", "add"),
+}
+
+_EXTREME_UFUNC = {"min": np.minimum, "max": np.maximum}
+
+
 def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = False):
     """Compute one aggregate per group; returns (values, null_mask).
 
@@ -206,156 +243,202 @@ def aggregate(func: str, arg: V | None, gids, ngroups: int, distinct: bool = Fal
     """
     if gids is None:
         gids = np.zeros(len(arg.data) if arg is not None else 0, dtype=np.int64)
+    if distinct and arg is not None:
+        arg, gids = _first_distinct(arg, gids, ngroups)
+    state = agg_state(func, arg, gids, ngroups)
+    return agg_finish(func, arg.type if arg is not None else None, state, ngroups)
 
+
+def _first_distinct(arg: V, gids: np.ndarray, ngroups: int) -> tuple:
+    """The DISTINCT pre-step: each group's first row per distinct non-NULL
+    value.  Returns the kept (arg, gids)."""
+    n = len(gids)
+    arg = _broadcast(arg, n)
+    nulls = arg.null_mask(n)
+    rows = np.flatnonzero(~nulls) if nulls is not None else np.arange(n)
+    codes, card, dense = _group_key(arg, _DENSE_FACTOR * n)
+    _, first, _, _ = _group_codes(
+        [(gids[rows], ngroups, True), (codes[rows], card, dense)], len(rows)
+    )
+    keep = rows[first]
+    return arg.take(keep), gids[keep]
+
+
+def _broadcast(arg: V, n: int) -> V:
+    """A scalar argument repeated over ``n`` rows (vectors pass unchanged)."""
+    if isinstance(arg.data, np.ndarray):
+        return arg
+    if arg.type.is_variable:
+        data = np.full(n, 0, dtype=np.int64)
+    else:
+        fill = arg.type.null_value if arg.data is None else arg.data
+        data = np.full(n, fill, dtype=arg.type.dtype)
+    return V(arg.type, data, arg.heap)
+
+
+def _exact_sum(arg_type: T.SQLType) -> bool:
+    """Whether sums of ``arg_type`` accumulate exactly in int64 storage units."""
+    return arg_type.category in (T.TypeCategory.INTEGER, T.TypeCategory.DECIMAL)
+
+
+def agg_state(func: str, arg: V | None, gids: np.ndarray, ngroups: int) -> tuple:
+    """Per-group state of one aggregate over a batch of rows.
+
+    ``gids`` assigns each row its group in ``[0, ngroups)``; the slots are
+    laid out as :data:`AGG_MERGE_KINDS` describes.
+    """
+    if func not in AGG_MERGE_KINDS:
+        raise DatabaseError(f"unknown aggregate {func!r}")
     if func == "count_star":
-        counts = np.bincount(gids, minlength=ngroups).astype(np.int64)
-        return counts, None
-
+        return (np.bincount(gids, minlength=ngroups),)
     if arg is None:
         raise DatabaseError(f"aggregate {func} requires an argument")
-
-    data = arg.data
-    n = len(data) if isinstance(data, np.ndarray) else len(gids)
-    if not isinstance(data, np.ndarray):  # broadcast scalar argument
-        if arg.type.is_variable:
-            data = np.full(n, 0, dtype=np.int64)
-        else:
-            fill = arg.type.null_value if arg.data is None else arg.data
-            data = np.full(n, fill, dtype=arg.type.dtype)
-        arg = V(arg.type, data, arg.heap)
-
-    nulls = arg.null_mask(n)
-    present = ~nulls if nulls is not None else np.ones(n, dtype=bool)
-
-    if distinct:
-        rows = np.flatnonzero(present)
-        codes, card, dense = _group_key(arg, _DENSE_FACTOR * n)
-        _, first, _, _ = _group_codes(
-            [(gids[rows], ngroups, True), (codes[rows], card, dense)], len(rows)
-        )
-        keep = rows[first]
-        gids = gids[keep]
-        data = data[keep]
-        arg = V(arg.type, data, arg.heap)
-        present = np.ones(len(keep), dtype=bool)
-        nulls = None
-
-    if func == "count":
-        counts = np.bincount(gids[present], minlength=ngroups).astype(np.int64)
-        return counts, None
-
-    if arg.type.is_variable:
-        return _string_minmax(func, arg, gids, ngroups)
-
-    floats = _as_float(arg, data, nulls)
-
-    if func == "sum":
-        counts = np.bincount(gids[present], minlength=ngroups)
-        if arg.type.category in (T.TypeCategory.INTEGER, T.TypeCategory.DECIMAL):
-            # exact integer accumulation in the storage domain; decimals
-            # descale once at the end, so the result is independent of the
-            # summation order (sequential and morsel-partial paths agree
-            # bit for bit)
-            out = np.zeros(ngroups, dtype=np.int64)
-            np.add.at(out, gids[present], data[present].astype(np.int64))
-            if arg.type.category == T.TypeCategory.DECIMAL:
-                return out.astype(np.float64) / 10**arg.type.scale, counts == 0
-            return out, counts == 0
-        sums = np.bincount(gids[present], weights=floats[present], minlength=ngroups)
-        return sums, counts == 0
-    if func == "avg":
-        sums = np.bincount(gids[present], weights=floats[present], minlength=ngroups)
-        counts = np.bincount(gids[present], minlength=ngroups)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = sums / counts
-        return out, counts == 0
-    if func in ("min", "max"):
-        init = np.inf if func == "min" else -np.inf
-        out = np.full(ngroups, init, dtype=np.float64)
-        ufunc = np.minimum if func == "min" else np.maximum
-        ufunc.at(out, gids[present], floats[present])
-        counts = np.bincount(gids[present], minlength=ngroups)
-        empty = counts == 0
-        if arg.type.category == T.TypeCategory.FLOAT:
-            return out, empty
-        # map back into the storage domain of the argument type
-        if arg.type.category == T.TypeCategory.DECIMAL:
-            raw = np.round(out * 10**arg.type.scale)
-        else:
-            raw = out
-        raw = np.where(empty, 0, raw).astype(arg.type.dtype)
-        return raw, empty
-    if func == "median":
-        return _median(floats, present, gids, ngroups)
-    if func in ("stddev", "var"):
-        counts = np.bincount(gids[present], minlength=ngroups)
-        sums = np.bincount(gids[present], weights=floats[present], minlength=ngroups)
-        squares = np.bincount(
-            gids[present], weights=floats[present] ** 2, minlength=ngroups
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = sums / counts
-            variance = squares / counts - mean**2
-            variance = np.where(counts > 1, variance * counts / (counts - 1), np.nan)
-        if func == "var":
-            return variance, counts <= 1
-        return np.sqrt(np.maximum(variance, 0)), counts <= 1
-    raise DatabaseError(f"unknown aggregate {func!r}")
-
-
-def _as_float(arg: V, data: np.ndarray, nulls) -> np.ndarray:
-    if arg.type.category == T.TypeCategory.FLOAT:
-        return data.astype(np.float64, copy=False)
-    if arg.type.category == T.TypeCategory.DECIMAL:
-        out = data.astype(np.float64) / 10**arg.type.scale
-    else:
-        out = data.astype(np.float64)
+    arg = _broadcast(arg, len(gids))
+    nulls = arg.null_mask(len(gids))
     if nulls is not None and nulls.any():
-        out = out.copy()
-        out[nulls] = np.nan
+        rows = np.flatnonzero(~nulls)
+        arg, gids = arg.take(rows), gids[rows]
+    counts = np.bincount(gids, minlength=ngroups)
+    if func == "count":
+        return (counts,)
+    if func in ("min", "max"):
+        return _extremes(func, arg, gids, ngroups), counts
+    if arg.type.is_variable:
+        raise DatabaseError(f"aggregate {func} not defined for strings")
+    if func == "sum" and _exact_sum(arg.type):
+        sums = np.zeros(ngroups, dtype=np.int64)
+        np.add.at(sums, gids, arg.data.astype(np.int64))
+        return sums, counts
+    values = arg.data.astype(np.float64)
+    if func == "median":
+        return ((gids, values),)
+    sums = np.bincount(gids, weights=values, minlength=ngroups)
+    if func in ("sum", "avg"):
+        return sums, counts
+    squares = np.bincount(gids, weights=values**2, minlength=ngroups)
+    return sums, squares, counts
+
+
+def agg_merge(func: str, states: list, gid_maps: list, ngroups: int) -> tuple:
+    """Combine the states of several row batches into one state.
+
+    ``gid_maps[b]`` maps batch ``b``'s group ids to the ``ngroups`` merged
+    groups; each slot merges by its kind in :data:`AGG_MERGE_KINDS`.
+    """
+    gids = np.concatenate(gid_maps)
+    merged = []
+    for slot, kind in enumerate(AGG_MERGE_KINDS[func]):
+        parts = [state[slot] for state in states]
+        if kind == "concat":
+            merged.append((
+                np.concatenate([gmap[g] for (g, _), gmap in zip(parts, gid_maps)]),
+                np.concatenate([values for _, values in parts]),
+            ))
+            continue
+        values = np.concatenate(parts)
+        if kind == "add":
+            out = np.zeros(ngroups, dtype=values.dtype)
+            np.add.at(out, gids, values)
+        elif values.dtype == object:
+            keep = np.flatnonzero(~np.equal(values, None))
+            out = _string_extremes(kind, V(T.STRING, values[keep]), gids[keep], ngroups)
+        else:
+            out = _extreme_init(kind, values.dtype, ngroups)
+            _EXTREME_UFUNC[kind].at(out, gids, values)
+        merged.append(out)
+    return tuple(merged)
+
+
+def agg_finish(func: str, arg_type: T.SQLType | None, state: tuple, ngroups: int):
+    """(values, null_mask) of one aggregate from its state.
+
+    The one place that descales DECIMALs, divides averages, forms the
+    variance and maps extremes back to the argument's storage type.
+    """
+    if func in ("count_star", "count"):
+        return state[0], None
+    if func in ("min", "max"):
+        extremes, counts = state
+        empty = counts == 0
+        if extremes.dtype == object:
+            return np.where(empty, None, extremes), empty
+        if arg_type.category != T.TypeCategory.FLOAT:
+            extremes = np.where(empty, 0, extremes).astype(arg_type.dtype)
+        return extremes, empty
+    scale = 1.0
+    if arg_type.category == T.TypeCategory.DECIMAL:
+        scale = float(10**arg_type.scale)
+    if func == "median":
+        gids, values = state[0]
+        out, empty = _median(values, gids, ngroups)
+        return out / scale, empty
+    if func in ("sum", "avg"):
+        sums, counts = state
+        if func == "sum" and arg_type.category == T.TypeCategory.INTEGER:
+            return sums, counts == 0
+        total = sums.astype(np.float64) / scale
+        if func == "avg":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                total = total / counts
+        return total, counts == 0
+    sums, squares, counts = state
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = sums / counts
+        variance = squares / counts - mean**2
+        variance = np.where(counts > 1, variance * counts / (counts - 1), np.nan)
+    variance = variance / scale**2
+    if func == "var":
+        return variance, counts <= 1
+    return np.sqrt(np.maximum(variance, 0)), counts <= 1
+
+
+def _extreme_init(func: str, dtype, ngroups: int) -> np.ndarray:
+    """Per-group start value of a min/max: every value beats it."""
+    if dtype == np.float64:
+        start = np.inf if func == "min" else -np.inf
+    else:
+        start = _INT64_MAX if func == "min" else -_INT64_MAX - 1
+    return np.full(ngroups, start, dtype=dtype)
+
+
+def _extremes(func: str, arg: V, gids: np.ndarray, ngroups: int) -> np.ndarray:
+    """Per-group min/max of a NULL-free vector, in its storage domain."""
+    if arg.type.is_variable:
+        return _string_extremes(func, arg, gids, ngroups)
+    dtype = np.float64 if arg.type.category == T.TypeCategory.FLOAT else np.int64
+    out = _extreme_init(func, np.dtype(dtype), ngroups)
+    _EXTREME_UFUNC[func].at(out, gids, arg.data.astype(dtype, copy=False))
     return out
 
 
-def _median(floats, present, gids, ngroups):
-    """Per-group median via one value sort plus a stable group sort."""
-    idx = np.flatnonzero(present)
-    values = floats[idx]
-    groups = gids[idx]
-    order = np.argsort(values, kind="stable")
-    order = order[np.argsort(groups[order], kind="stable")]
-    sorted_values = values[order]
-    counts = np.bincount(groups, minlength=ngroups)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    out = np.full(ngroups, np.nan)
+def _string_extremes(func: str, arg: V, gids: np.ndarray, ngroups: int) -> np.ndarray:
+    """Per-group min/max of a NULL-free string vector (None for empty
+    groups), compared through order-preserving codes."""
+    out = np.full(ngroups, None, dtype=object)
+    if len(gids) == 0:
+        return out
+    codes = key_codes(arg)
+    best = _extremes(func, V(T.BIGINT, codes), gids, ngroups)
+    hit = np.flatnonzero(codes == best[gids])
+    rep = np.full(ngroups, -1, dtype=np.int64)
+    rep[gids[hit]] = hit
+    found = rep >= 0
+    out[found] = arg.take(rep[found]).objects()
+    return out
+
+
+def _median(values, gids, ngroups):
+    """Per-group median of NULL-free values via one (group, value) sort."""
+    sorted_values = values[np.lexsort((values, gids))]
+    counts = np.bincount(gids, minlength=ngroups)
     nonempty = counts > 0
-    lo = offsets + (counts - 1) // 2
-    hi = offsets + counts // 2
-    lo_vals = np.where(nonempty, sorted_values[np.minimum(lo, len(sorted_values) - 1)], np.nan)
-    hi_vals = np.where(nonempty, sorted_values[np.minimum(hi, len(sorted_values) - 1)], np.nan)
-    out = (lo_vals + hi_vals) / 2.0
-    return out, counts == 0
-
-
-def _string_minmax(func: str, arg: V, gids, ngroups):
-    objects = arg.objects()
-    best: list = [None] * ngroups
-    if func == "min":
-        for gid, value in zip(gids, objects):
-            if value is None:
-                continue
-            current = best[gid]
-            if current is None or value < current:
-                best[gid] = value
-    elif func == "max":
-        for gid, value in zip(gids, objects):
-            if value is None:
-                continue
-            current = best[gid]
-            if current is None or value > current:
-                best[gid] = value
-    else:
-        raise DatabaseError(f"aggregate {func} not defined for strings")
-    return np.array(best, dtype=object), np.array([b is None for b in best])
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    sizes = counts[nonempty]
+    out = np.full(ngroups, np.nan)
+    lo = sorted_values[starts + (sizes - 1) // 2]
+    hi = sorted_values[starts + sizes // 2]
+    out[nonempty] = (lo + hi) / 2.0
+    return out, ~nonempty
 
 
 # -- joins -----------------------------------------------------------------------------------
@@ -795,15 +878,8 @@ def window_apply(func: str, arg: V | None, ctx: WindowContext, frame):
     if n == 0:
         return np.empty(0, dtype=np.int64), None
 
-    if arg is not None and not isinstance(arg.data, np.ndarray):
-        # broadcast a scalar argument (same convention as ``aggregate``)
-        if arg.type.is_variable:
-            data = np.full(n, 0, dtype=np.int64)
-        else:
-            fill = arg.type.null_value if arg.data is None else arg.data
-            data = np.full(n, fill, dtype=arg.type.dtype)
-        arg = V(arg.type, data, arg.heap)
-
+    if arg is not None:
+        arg = _broadcast(arg, n)
     idx = np.arange(n, dtype=np.int64)
 
     if func in ("row_number", "rank", "dense_rank"):
@@ -819,68 +895,47 @@ def window_apply(func: str, arg: V | None, ctx: WindowContext, frame):
 
     if frame is None:
         # whole-partition aggregate, broadcast back over the rows
-        sorted_arg = (
-            V(arg.type, arg.data[ctx.order], arg.heap) if arg is not None else None
-        )
+        sorted_arg = arg.take(ctx.order) if arg is not None else None
         values, null_mask = aggregate(func, sorted_arg, ctx.part_ids, ctx.nparts)
         out = values[ctx.part_ids][ctx.inverse]
         mask = null_mask[ctx.part_ids][ctx.inverse] if null_mask is not None else None
         return out, mask
 
+    # framed: the aggregate's own state per row (one "group" per row) from
+    # prefix sums or running extremes, finished like a grouped aggregate
     lo, hi, valid = _frame_extents(ctx, frame, idx)
-
     if func == "count_star":
-        cnt = np.where(valid, hi - lo + 1, 0).astype(np.int64)
-        return cnt[ctx.inverse], None
-
-    if arg is None:
+        arg_type = None
+        state = (np.where(valid, hi - lo + 1, 0).astype(np.int64),)
+    elif arg is None:
         raise DatabaseError(f"window aggregate {func} requires an argument")
+    else:
+        arg_type = arg.type
+        sorted_arg = arg.take(ctx.order)
+        nulls = sorted_arg.null_mask(n)
+        present = ~nulls if nulls is not None else np.ones(n, dtype=bool)
+        lo_c = np.clip(lo, 0, n)
+        hi1 = np.clip(hi + 1, 0, n)
 
-    data_s = arg.data[ctx.order]
-    sorted_arg = V(arg.type, data_s, arg.heap)
-    nulls_s = sorted_arg.null_mask(n)
-    present = ~nulls_s if nulls_s is not None else np.ones(n, dtype=bool)
+        def frame_sums(values):
+            prefix = np.concatenate([[0], np.cumsum(values)])
+            return np.where(valid, prefix[hi1] - prefix[lo_c], 0)
 
-    lo_c = np.clip(lo, 0, n)
-    hi1 = np.clip(hi + 1, 0, n)
-    pcum = np.concatenate([[0], np.cumsum(present)])
-    cnt = np.where(valid, pcum[hi1] - pcum[lo_c], 0).astype(np.int64)
-
-    if func == "count":
-        return cnt[ctx.inverse], None
-
-    if func in ("sum", "avg"):
-        if func == "sum" and arg.type.category in (
-            T.TypeCategory.INTEGER,
-            T.TypeCategory.DECIMAL,
-        ):
-            # exact int64 prefix sums in the storage domain (mirrors the
-            # grouped kernel: decimals descale once at the end)
-            ints = np.where(present, data_s.astype(np.int64), 0)
-            prefix = np.concatenate([[0], np.cumsum(ints)])
-            sums = np.where(valid, prefix[hi1] - prefix[lo_c], 0)
-            if arg.type.category == T.TypeCategory.DECIMAL:
-                out = sums.astype(np.float64) / 10**arg.type.scale
-            else:
-                out = sums
-            return out[ctx.inverse], (cnt == 0)[ctx.inverse]
-        floats = _as_float(sorted_arg, data_s, nulls_s)
-        fvals = np.where(present, floats, 0.0)
-        prefix = np.concatenate([[0.0], np.cumsum(fvals)])
-        sums = np.where(valid, prefix[hi1] - prefix[lo_c], 0.0)
-        if func == "avg":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sums = sums / cnt
-        return sums[ctx.inverse], (cnt == 0)[ctx.inverse]
-
-    if func in ("min", "max"):
-        # the binder only admits UNBOUNDED PRECEDING .. CURRENT ROW here,
-        # so a running (cumulative) extreme sampled at the frame end works
-        return _window_running_extreme(
-            func, sorted_arg, data_s, present, ctx, hi, cnt
-        )
-
-    raise DatabaseError(f"unknown window function {func!r}")
+        counts = frame_sums(present.astype(np.int64))
+        if func == "count":
+            state = (counts,)
+        elif func in ("sum", "avg"):
+            dtype = np.int64 if func == "sum" and _exact_sum(arg_type) else np.float64
+            state = (frame_sums(np.where(present, sorted_arg.data, 0).astype(dtype)), counts)
+        elif func in ("min", "max"):
+            # the binder only admits UNBOUNDED PRECEDING .. CURRENT ROW here,
+            # so a running (cumulative) extreme sampled at the frame end works
+            state = (_running_extremes(func, sorted_arg, present, ctx, hi), counts)
+        else:
+            raise DatabaseError(f"unknown window function {func!r}")
+    values, null_mask = agg_finish(func, arg_type, state, n)
+    mask = null_mask[ctx.inverse] if null_mask is not None else None
+    return values[ctx.inverse], mask
 
 
 def _frame_extents(ctx: WindowContext, frame, idx):
@@ -910,55 +965,30 @@ def _frame_extents(ctx: WindowContext, frame, idx):
     return lo, hi, valid
 
 
-def _window_running_extreme(func, sorted_arg, data_s, present, ctx, hi, cnt):
-    """Cumulative per-partition min/max sampled at each row's frame end."""
-    n = ctx.n
-    if sorted_arg.type.is_variable:
-        objects = sorted_arg.objects()
-        running: list = [None] * n
-        best = None
-        for pos in range(n):
-            if pos == ctx.part_start_pos[pos]:
-                best = None
-            value = objects[pos]
-            if value is not None and (
-                best is None
-                or (func == "min" and value < best)
-                or (func == "max" and value > best)
-            ):
-                best = value
-            running[pos] = best
-        out = np.array(running, dtype=object)[hi]
-        mask = np.array([value is None for value in out])
-        return out[ctx.inverse], mask[ctx.inverse]
+def _running_extremes(func, sorted_arg: V, present, ctx: WindowContext, hi):
+    """Cumulative per-partition min/max sampled at each row's frame end
+    ``hi``, in the argument's storage domain.
 
-    floats = _as_float(sorted_arg, data_s, None)
-    pad = np.inf if func == "min" else -np.inf
-    floats = np.where(present, floats, pad)
-    finite = floats[np.isfinite(floats)]
-    span = float(finite.max() - finite.min()) if finite.size else 0.0
-    big = span + 1.0
-    # segmented cumulative extreme via the offset trick: shift each
-    # partition into its own disjoint value band (bands decrease for min,
-    # increase for max) so earlier partitions can never win inside later
-    # ones; all-NULL prefixes yield a garbage finite value that ``cnt``
-    # masks to NULL anyway
-    if func == "min":
-        shifted = floats - ctx.part_ids * big
-        run = np.minimum.accumulate(shifted) + ctx.part_ids * big
+    One segmented scan over dense order-preserving ranks, exact for every
+    type: each partition is shifted into its own band of ``width`` ranks
+    (later bands lower for min, higher for max), so earlier partitions can
+    never win inside later ones.  NULL rows rank past every value; a frame
+    with no non-NULL value samples junk that its zero count masks.
+    """
+    rows = np.flatnonzero(present)
+    codes = key_codes(sorted_arg.take(rows))
+    width = int(codes.max(initial=0)) + 2
+    ranks = np.full(ctx.n, -1 if func == "max" else width - 1, dtype=np.int64)
+    ranks[rows] = codes
+    shift = ctx.part_ids * width
+    if func == "max":
+        run = np.maximum.accumulate(ranks + shift) - shift
     else:
-        shifted = floats + ctx.part_ids * big
-        run = np.maximum.accumulate(shifted) - ctx.part_ids * big
-    out = run[hi]
-    empty = cnt == 0
-    if sorted_arg.type.category == T.TypeCategory.FLOAT:
-        return out[ctx.inverse], empty[ctx.inverse]
-    if sorted_arg.type.category == T.TypeCategory.DECIMAL:
-        raw = np.round(out * 10**sorted_arg.type.scale)
-    else:
-        raw = out
-    raw = np.where(empty, 0, raw).astype(sorted_arg.type.dtype)
-    return raw[ctx.inverse], empty[ctx.inverse]
+        run = np.minimum.accumulate(ranks - shift) + shift
+    rep = np.zeros(width, dtype=np.int64)
+    rep[codes] = rows
+    picked = sorted_arg.take(rep[np.clip(run[hi], 0, width - 1)])
+    return picked.objects() if sorted_arg.type.is_variable else picked.data
 
 
 def distinct_rows(vecs: list) -> np.ndarray:

@@ -218,15 +218,15 @@ def _new_state(spec: E.AggSpec):
         return []
     if spec.distinct:
         return set()
-    # [count, sum, min, max]
-    return [0, 0.0, None, None]
+    # [count, sum, min, max]; the sum stays a Python int while the values
+    # are INTEGER or (unscaled) DECIMAL storage ints, so it is exact
+    return [0, 0, None, None]
 
 
-def _arg_number(spec: E.AggSpec, value):
-    if value is None:
-        return None
-    if spec.arg is not None and spec.arg.type.category == T.TypeCategory.DECIMAL:
-        return value / 10**spec.arg.type.scale
+def _descale(spec: E.AggSpec, value):
+    """A storage-domain number as its SQL value (DECIMALs are unscaled)."""
+    if spec.arg.type.category == T.TypeCategory.DECIMAL:
+        return float(value) / 10**spec.arg.type.scale
     return value
 
 
@@ -241,14 +241,14 @@ def _accumulate(spec: E.AggSpec, acc, row: tuple, ctx) -> None:
     if value is None:
         return
     if spec.func == "median":
-        acc.append(_arg_number(spec, value))
+        acc.append(value)
         return
     if spec.distinct:
         acc.add(value)
         return
     acc[0] += 1
     if spec.func in ("sum", "avg"):
-        acc[1] += _arg_number(spec, value)
+        acc[1] += value
     elif spec.func == "min":
         acc[2] = value if acc[2] is None or value < acc[2] else acc[2]
     elif spec.func == "max":
@@ -264,8 +264,8 @@ def _finalize(spec: E.AggSpec, acc):
         values = sorted(acc)
         mid = len(values) // 2
         if len(values) % 2:
-            return float(values[mid])
-        return (values[mid - 1] + values[mid]) / 2.0
+            return float(_descale(spec, values[mid]))
+        return _descale(spec, values[mid - 1] + values[mid]) / 2.0
     if spec.distinct:
         if spec.func == "count":
             return len(acc)
@@ -273,7 +273,7 @@ def _finalize(spec: E.AggSpec, acc):
             return None
         if spec.func in ("min", "max"):
             return min(acc) if spec.func == "min" else max(acc)
-        total = sum(_arg_number(spec, v) for v in acc)
+        total = _descale(spec, sum(acc))
         if spec.func == "sum":
             return _sum_result(spec, total)
         return total / len(acc)  # avg
@@ -283,9 +283,9 @@ def _finalize(spec: E.AggSpec, acc):
     if count == 0:
         return None
     if spec.func == "sum":
-        return _sum_result(spec, acc[1])
+        return _sum_result(spec, _descale(spec, acc[1]))
     if spec.func == "avg":
-        return acc[1] / count
+        return _descale(spec, acc[1]) / count
     if spec.func == "min":
         return acc[2]
     if spec.func == "max":

@@ -1,8 +1,8 @@
-"""Morsel-driven executor: equivalence, partial kernels, stats, shutdown.
+"""Morsel-driven executor: equivalence, aggregate merges, stats, shutdown.
 
 The tentpole property is executor transparency: every query must return
 the same result whether it runs sequentially, through the legacy chunked
-tactic, or morsel-parallel with partial-aggregate merges.  Integer,
+tactic, or morsel-parallel with aggregate-state merges.  Integer,
 decimal, string, count, min/max, and median aggregates are bit-identical
 by construction; float sums/averages merge by re-associated addition, so
 comparisons normalize floats through rounding.
@@ -20,7 +20,6 @@ import pytest
 from repro.core.database import Database
 from repro.exec.fragments import analyze_program
 from repro.exec.morsels import MIN_MORSEL_ROWS, morsel_bounds, pack_values
-from repro.exec.partial import merge_partials, partial_aggregate
 from repro.mal import operators as ops
 from repro.mal.vectors import BoolVec, V
 from repro.storage import types as T
@@ -104,45 +103,88 @@ class TestPackValues:
         ) == [0, 1, 4]
 
 
-# -- partial aggregate kernels -----------------------------------------------
+# -- aggregate state / merge / finish ----------------------------------------
 
 
 def _split_states(func, arg, gids, ngroups, cuts):
-    """Partial states per slice plus identity gid maps."""
+    """Aggregate states per slice plus identity gid maps."""
     states, maps = [], []
     for start, stop in cuts:
         part = None
         if arg is not None:
             part = V(arg.type, arg.data[start:stop], arg.heap)
-        states.append(
-            partial_aggregate(func, part, gids[start:stop], ngroups)
-        )
+        states.append(ops.agg_state(func, part, gids[start:stop], ngroups))
         maps.append(np.arange(ngroups, dtype=np.int64))
     return states, maps
 
 
-@pytest.mark.parametrize(
-    "func", ["count_star", "count", "sum", "avg", "min", "max", "median",
-             "stddev", "var"]
-)
+def _merged(func, arg, gids, ngroups, cuts):
+    states, maps = _split_states(func, arg, gids, ngroups, cuts)
+    arg_type = arg.type if arg is not None else None
+    state = ops.agg_merge(func, states, maps, ngroups)
+    return ops.agg_finish(func, arg_type, state, ngroups)
+
+
+_ALL_FUNCS = ["count_star", "count", "sum", "avg", "min", "max", "median",
+              "stddev", "var"]
+
+#: (type, raw storage values) per argument type; BIGINT straddles 2^53,
+#: where float64 stops telling neighbours apart
+_KERNEL_TYPES = {
+    "INTEGER": (T.INTEGER, lambda rng, n: rng.integers(-50, 50, n)),
+    "BIGINT": (T.BIGINT, lambda rng, n: 2**53 + rng.integers(-50, 50, n)),
+    "DECIMAL": (T.decimal(18, 2), lambda rng, n: rng.integers(-10**6, 10**6, n)),
+    "DATE": (T.DATE, lambda rng, n: rng.integers(0, 20000, n)),
+    "DOUBLE": (T.DOUBLE, lambda rng, n: rng.normal(0, 100, n)),
+}
+
+#: INTEGER is covered by test_partial_matches_blocking_kernel; sum/avg/
+#: median/stddev/var are not defined over DATE; over values near 2^53 the
+#: variance formula cancels catastrophically on either path
+_KERNEL_CASES = [
+    (name, func)
+    for name in _KERNEL_TYPES
+    for func in _ALL_FUNCS
+    if name != "INTEGER"
+    and not (name == "DATE" and func not in ("count_star", "count", "min", "max"))
+    and not (name == "BIGINT" and func in ("stddev", "var"))
+]
+
+
+@pytest.mark.parametrize("func", _ALL_FUNCS)
 def test_partial_matches_blocking_kernel(func):
+    _check_merge_matches_blocking("INTEGER", func)
+
+
+@pytest.mark.parametrize("type_name,func", _KERNEL_CASES)
+def test_merge_matches_blocking_kernel_typed(type_name, func):
+    _check_merge_matches_blocking(type_name, func)
+
+
+def _check_merge_matches_blocking(type_name, func):
+    """Split-state-merge-finish equals one blocking ops.aggregate call."""
     rng = np.random.default_rng(11)
     n = 1000
+    sql_type, draw = _KERNEL_TYPES[type_name]
     gids = rng.integers(0, 9, n).astype(np.int64)
-    data = rng.integers(-50, 50, n).astype(np.int32)
+    data = draw(rng, n).astype(sql_type.dtype)
     nulls = rng.random(n) < 0.1
-    data[nulls] = T.INTEGER.null_value
-    arg = None if func == "count_star" else V(T.INTEGER, data)
+    data[nulls] = sql_type.null_value
+    arg = None if func == "count_star" else V(sql_type, data)
 
     expected, expected_nulls = ops.aggregate(func, arg, gids, 9)
     cuts = [(0, 250), (250, 251), (251, 1000)]
-    states, maps = _split_states(func, arg, gids, 9, cuts)
-    got, got_nulls = merge_partials(states, maps, 9)
+    got, got_nulls = _merged(func, arg, gids, 9, cuts)
 
-    np.testing.assert_allclose(
-        got.astype(np.float64), expected.astype(np.float64),
-        rtol=1e-12, equal_nan=True,
-    )
+    exact = func in ("count_star", "count", "sum", "min", "max")
+    if exact and sql_type.category != T.TypeCategory.FLOAT:
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    else:
+        np.testing.assert_allclose(
+            got.astype(np.float64), expected.astype(np.float64),
+            rtol=1e-12, equal_nan=True,
+        )
     if expected_nulls is None:
         assert got_nulls is None or not got_nulls.any()
     else:
@@ -155,8 +197,7 @@ def test_partial_sum_decimal_is_exact():
     gids = np.zeros(4, dtype=np.int64)
     arg = V(dec, data)
     expected, _ = ops.aggregate("sum", arg, gids, 1)
-    states, maps = _split_states("sum", arg, gids, 1, [(0, 2), (2, 4)])
-    got, _ = merge_partials(states, maps, 1)
+    got, _ = _merged("sum", arg, gids, 1, [(0, 2), (2, 4)])
     assert got[0] == expected[0] == 1.45
 
 
@@ -164,8 +205,7 @@ def test_partial_string_minmax_merge():
     arg = V(T.STRING, np.array(["pear", None, "apple", "zoo"], dtype=object))
     gids = np.array([0, 0, 1, 1], dtype=np.int64)
     expected, expected_nulls = ops.aggregate("min", arg, gids, 2)
-    states, maps = _split_states("min", arg, gids, 2, [(0, 2), (2, 4)])
-    got, got_nulls = merge_partials(states, maps, 2)
+    got, got_nulls = _merged("min", arg, gids, 2, [(0, 2), (2, 4)])
     assert list(got) == list(expected) == ["pear", "apple"]
     assert not got_nulls.any() and not expected_nulls.any()
 
@@ -173,8 +213,7 @@ def test_partial_string_minmax_merge():
 def test_partial_empty_groups_stay_null():
     arg = V(T.INTEGER, np.array([T.INTEGER.null_value] * 4, dtype=np.int32))
     gids = np.array([0, 0, 1, 1], dtype=np.int64)
-    states, maps = _split_states("sum", arg, gids, 2, [(0, 2), (2, 4)])
-    _, nulls = merge_partials(states, maps, 2)
+    _, nulls = _merged("sum", arg, gids, 2, [(0, 2), (2, 4)])
     assert nulls.all()
 
 

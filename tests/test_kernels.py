@@ -270,3 +270,123 @@ def test_hash_index_probe_matches_reference(pool, data):
     )
     member = index.contains(np.array(probes, dtype=np.int64))
     assert member.tolist() == [v in set(build) for v in probes]
+
+
+# -- aggregates: state / merge / finish ----------------------------------------------
+
+
+_AGG_FUNCS = ["count_star", "count", "sum", "avg", "min", "max", "median", "stddev", "var"]
+_STRINGS = st.sampled_from(["", "a", "b", "ab", "Z"])
+
+
+def _string_vec(values, dictionary):
+    """A string vector: heap-backed (dictionary-encoded) or a plain object array."""
+    if not dictionary:
+        return V(T.STRING, np.array(values, dtype=object))
+    heap = StringHeap()
+    for value in reversed(values):  # heap offset order differs from value order
+        heap.add(value)
+    return V(T.STRING, np.array([heap.add(v) for v in values], dtype=np.int64), heap)
+
+
+def _values_or_none(values, mask):
+    out = values.tolist()
+    if mask is None:
+        return out
+    return [None if null else v for v, null in zip(out, mask.tolist())]
+
+
+@st.composite
+def agg_inputs(draw):
+    """(func, arg, gids, ngroups, cuts): one aggregate over random groups and
+    random row-batch boundaries."""
+    kind = draw(st.sampled_from(["INTEGER", "BIGINT", "DECIMAL", "STRING"]))
+    n = draw(st.integers(0, 40))
+    ngroups = draw(st.integers(1, 4))
+    gids = np.array(draw(st.lists(st.integers(0, ngroups - 1), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    if kind == "STRING":
+        func = draw(st.sampled_from(["count_star", "count", "min", "max"]))
+        values = draw(st.lists(st.one_of(st.none(), _STRINGS), min_size=n, max_size=n))
+        return func, _string_vec(values, draw(st.booleans())), gids, ngroups, cuts
+    sql_type = {"INTEGER": T.INTEGER, "BIGINT": T.BIGINT, "DECIMAL": T.decimal(18, 2)}[kind]
+    pool = draw(st.sampled_from([p for p in ("small", "wide", "near_2_53")
+                                 if _fits(sql_type, p)]))
+    # avg/stddev/var sum in float64, which re-associates across batches
+    # once the sums pass 2^53
+    funcs = [f for f in _AGG_FUNCS
+             if pool != "near_2_53" or f not in ("avg", "stddev", "var")]
+    func = draw(st.sampled_from(funcs))
+    values = draw(st.lists(st.one_of(st.none(), POOLS[pool]), min_size=n, max_size=n))
+    return func, _vec(sql_type, values), gids, ngroups, cuts
+
+
+@SETTINGS
+@given(agg_inputs())
+def test_merged_states_finish_exactly_like_aggregate(case):
+    func, arg, gids, ngroups, cuts = case
+    expected, expected_nulls = ops.aggregate(func, arg, gids, ngroups)
+    # every batch numbers its own groups, like a morsel does
+    states, gid_maps = [], []
+    bounds = [0, *cuts, len(gids)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        groups, local = np.unique(gids[start:stop], return_inverse=True)
+        part = V(arg.type, arg.data[start:stop], arg.heap)
+        states.append(ops.agg_state(func, part, local.astype(np.int64), len(groups)))
+        gid_maps.append(groups)
+    state = ops.agg_merge(func, states, gid_maps, ngroups)
+    got, got_nulls = ops.agg_finish(func, arg.type, state, ngroups)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    if expected_nulls is None:
+        assert got_nulls is None
+    else:
+        assert got_nulls.tolist() == expected_nulls.tolist()
+
+
+@st.composite
+def window_inputs(draw):
+    """(arg, raw values, partition keys, order keys) over one value kind."""
+    kind = draw(st.sampled_from(["BIGINT", "DECIMAL", "STRING", "STRING_DICT"]))
+    n = draw(st.integers(1, 40))
+    parts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    orders = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if kind.startswith("STRING"):
+        values = draw(st.lists(st.one_of(st.none(), _STRINGS), min_size=n, max_size=n))
+        arg = _string_vec(values, kind == "STRING_DICT")
+    else:
+        sql_type = T.BIGINT if kind == "BIGINT" else T.decimal(18, 2)
+        values = draw(st.lists(st.one_of(st.none(), POOLS["near_2_53"]),
+                               min_size=n, max_size=n))
+        arg = _vec(sql_type, values)
+    return arg, values, parts, orders
+
+
+@SETTINGS
+@given(window_inputs(), st.sampled_from(["min", "max"]),
+       st.sampled_from([None, "rows", "range"]))
+def test_window_minmax_matches_reference(case, func, unit):
+    arg, values, parts, orders = case
+    n = len(values)
+    ctx = ops.window_context(
+        [_vec(T.INTEGER, parts)], [_vec(T.INTEGER, orders)], [False], [True], n
+    )
+    frame = None if unit is None else (unit, ("unbounded_preceding",), ("current_row",))
+    got, mask = ops.window_apply(func, arg, ctx, frame)
+
+    def in_frame(i, j):
+        if parts[j] != parts[i]:
+            return False
+        if unit is None:
+            return True
+        if unit == "range":
+            return orders[j] <= orders[i]
+        return (orders[j], j) <= (orders[i], i)
+
+    pick = min if func == "min" else max
+    expected = []
+    for i in range(n):
+        seen = [values[j] for j in range(n) if in_frame(i, j) and values[j] is not None]
+        expected.append(pick(seen) if seen else None)
+    assert _values_or_none(got, mask) == expected

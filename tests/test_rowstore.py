@@ -140,6 +140,33 @@ class TestRowEngine:
         assert rows[0] == (1, 4.0, 2, 2, 2.0, 1.5, 2.5)
         assert rows[1] == (2, 10.0, 1, 2, 10.0, 10.0, 10.0)
 
+    def test_exact_sums_match_columnar_engine(self, rc):
+        # 2^53 + 1 has no float64 neighbour and 0.10 + 0.20 is not 0.3 in
+        # float64: both sums must be accumulated in storage integers
+        from repro.core.database import Database
+
+        setup = [
+            "CREATE TABLE x (k BIGINT, d DECIMAL(18,2))",
+            "INSERT INTO x VALUES (9007199254740993, 0.10), (1, 0.20)",
+        ]
+        query = (
+            "SELECT sum(k), sum(d), avg(d), sum(DISTINCT k), sum(DISTINCT d), "
+            "median(d) FROM x"
+        )
+        columnar = Database(None)
+        try:
+            cc = columnar.connect()
+            for statement in setup:
+                rc.execute(statement)
+                cc.execute(statement)
+            expected = cc.query(query).fetchall()
+        finally:
+            columnar.shutdown()
+        assert rc.query(query).fetchall() == expected
+        assert expected == [
+            (9007199254740994, 0.3, 0.15, 9007199254740994, 0.3, 0.15)
+        ]
+
     def test_median_and_distinct_aggregates(self, rc):
         rc.execute("CREATE TABLE m (v INTEGER)")
         rc.execute("INSERT INTO m VALUES (1), (2), (2), (10)")

@@ -376,3 +376,61 @@ class TestDistinctAggregateEmpty:
         assert conn.query("SELECT count(DISTINCT k) FROM e").scalar() == 0
         rows = conn.query("SELECT k, count(DISTINCT s) FROM e GROUP BY k").fetchall()
         assert rows == [(None, 0)]
+
+
+class TestMedianOfNoValues:
+    """median() over no non-NULL values is NULL, grouped or not."""
+
+    def test_all_null(self, conn):
+        conn.execute("CREATE TABLE m (g INTEGER, v INTEGER)")
+        conn.execute("INSERT INTO m VALUES (1, NULL), (2, 4), (2, NULL)")
+        assert conn.query("SELECT median(v) FROM m WHERE g = 1").scalar() is None
+        rows = conn.query("SELECT g, median(v) FROM m GROUP BY g ORDER BY g").fetchall()
+        assert rows == [(1, None), (2, 4.0)]
+
+
+class TestExactWindowExtremes:
+    """min/max OVER keep BIGINT values above 2^53 exact, over whole
+    partitions and running frames alike."""
+
+    @pytest.fixture
+    def wide(self, conn):
+        conn.execute("CREATE TABLE w (g INTEGER, o INTEGER, k BIGINT, s VARCHAR)")
+        conn.execute(
+            "INSERT INTO w VALUES "
+            "(1, 1, 9007199254740992, NULL), (1, 2, 9007199254740993, 'pear'), "
+            "(1, 3, NULL, 'apple'), (2, 1, 9007199254740993, NULL), "
+            "(2, 2, 9007199254740992, NULL), (2, 3, 9007199254740994, 'fig')"
+        )
+        return conn
+
+    def test_whole_partition(self, wide):
+        rows = wide.query(
+            "SELECT g, o, max(k) OVER (PARTITION BY g), min(k) OVER (PARTITION BY g) "
+            "FROM w ORDER BY g, o"
+        ).fetchall()
+        assert rows == [
+            (1, 1, 9007199254740993, 9007199254740992),
+            (1, 2, 9007199254740993, 9007199254740992),
+            (1, 3, 9007199254740993, 9007199254740992),
+            (2, 1, 9007199254740994, 9007199254740992),
+            (2, 2, 9007199254740994, 9007199254740992),
+            (2, 3, 9007199254740994, 9007199254740992),
+        ]
+
+    def test_running(self, wide):
+        rows = wide.query(
+            "SELECT g, o, "
+            "max(k) OVER (PARTITION BY g ORDER BY o ROWS UNBOUNDED PRECEDING), "
+            "min(k) OVER (PARTITION BY g ORDER BY o ROWS UNBOUNDED PRECEDING), "
+            "min(s) OVER (PARTITION BY g ORDER BY o ROWS UNBOUNDED PRECEDING) "
+            "FROM w ORDER BY g, o"
+        ).fetchall()
+        assert rows == [
+            (1, 1, 9007199254740992, 9007199254740992, None),
+            (1, 2, 9007199254740993, 9007199254740992, "pear"),
+            (1, 3, 9007199254740993, 9007199254740992, "apple"),
+            (2, 1, 9007199254740993, 9007199254740993, None),
+            (2, 2, 9007199254740993, 9007199254740992, None),
+            (2, 3, 9007199254740994, 9007199254740992, "fig"),
+        ]
