@@ -3,8 +3,8 @@
 Two entry points:
 
 * pytest-benchmark parametrizations over the paper's Figure 2 query
-  (``SELECT median(sqrt(i * 2)) FROM tbl``) comparing sequential, the
-  legacy per-instruction chunked tactic, and the morsel executor;
+  (``SELECT median(sqrt(i * 2)) FROM tbl``) comparing sequential
+  execution with the morsel executor;
 * a standalone worker sweep for the CI smoke job::
 
       PYTHONPATH=src python benchmarks/bench_ablation_parallel.py --json out.json
@@ -38,12 +38,11 @@ SWEEP_WORKERS = (1, 2, 4)
 SWEEP_QUERIES = {1: "Q1", 6: "Q6"}
 
 
-def _database(parallel: bool, executor: str = "morsel"):
+def _database(parallel: bool):
     from repro.core.database import Database
 
     database = Database(
         None, parallel=parallel, min_parallel_rows=1 << 16, max_workers=4,
-        executor=executor,
     )
     connection = database.connect()
     connection.execute("CREATE TABLE tbl (i BIGINT)")
@@ -54,8 +53,7 @@ def _database(parallel: bool, executor: str = "morsel"):
 
 _MODES = {
     "sequential": dict(parallel=False),
-    "chunked": dict(parallel=True, executor="chunked"),
-    "morsel": dict(parallel=True, executor="morsel"),
+    "morsel": dict(parallel=True),
 }
 
 

@@ -2,7 +2,7 @@
 
 An embedded analytical database: columnar storage with NULL sentinels and
 duplicate-eliminating string heaps, optimistic MVCC, a SQL front-end, a
-MAL-style column-at-a-time engine with automatic indexing and chunked
+MAL-style column-at-a-time engine with automatic indexing and morsel-driven
 parallel execution, zero-copy/lazy NumPy result transfer — plus the
 substrates the paper's evaluation compares against (an embedded Volcano
 row store, socket-served configurations, and a dataframe library).

@@ -697,40 +697,27 @@ class Connection:
             program = compile_select(optimized)
             compile_done = time.perf_counter_ns()
             if statement.analyze:
-                if spans is not None:
-                    spans.record("optimize", "phase",
-                                 optimize_start, compile_start)
-                    spans.record("compile", "phase",
-                                 compile_start, compile_done)
-                    spans.rows_estimate = int(estimate_rows(
-                        optimized.plan, self._nrows_estimator(txn)
-                    ))
-                    ctx = ExecutionContext(
-                        self._database, txn, self._database.config,
-                        phases={}, spans=spans,
-                    )
-                    materialized = Interpreter(ctx).run(program)
-                    spans.finish("ok", rows=materialized.nrows)
-                    tracer = self._database.span_tracer
-                    dicts = [
-                        s.to_dict(tracer.epoch_of) for s in spans.spans
-                    ]
-                    lines = render_tree(dicts).split("\n")
-                    lines.append("")
-                    lines.append(
-                        f"total: {dicts[0]['duration_us']:.1f} us, "
-                        f"{len(program.instructions)} instructions, "
-                        f"{materialized.nrows} result rows"
-                    )
-                else:
-                    # no tracer on this database: flat instruction trace
-                    trace = QueryTrace()
-                    ctx = ExecutionContext(
-                        self._database, txn, self._database.config,
-                        trace=trace,
-                    )
-                    Interpreter(ctx).run(program)
-                    lines = trace.render().split("\n")
+                spans.record("optimize", "phase",
+                             optimize_start, compile_start)
+                spans.record("compile", "phase", compile_start, compile_done)
+                spans.rows_estimate = int(estimate_rows(
+                    optimized.plan, self._nrows_estimator(txn)
+                ))
+                ctx = ExecutionContext(
+                    self._database, txn, self._database.config,
+                    phases={}, spans=spans,
+                )
+                materialized = Interpreter(ctx).run(program)
+                spans.finish("ok", rows=materialized.nrows)
+                tracer = self._database.span_tracer
+                dicts = [s.to_dict(tracer.epoch_of) for s in spans.spans]
+                lines = render_tree(dicts).split("\n")
+                lines.append("")
+                lines.append(
+                    f"total: {dicts[0]['duration_us']:.1f} us, "
+                    f"{len(program.instructions)} instructions, "
+                    f"{materialized.nrows} result rows"
+                )
                 self._stats_incr("traced_queries")
             else:
                 from repro.exec.fragments import render_fragments

@@ -312,7 +312,7 @@ class Database:
 
     @property
     def thread_pool(self) -> ThreadPoolExecutor:
-        """Lazily created worker pool for chunked parallel execution."""
+        """Lazily created worker pool of the morsel executor and COPY."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.config.max_workers,

@@ -1,20 +1,18 @@
 """Morsel-driven pipeline-parallel query execution (``repro.exec``).
 
-The interpreter executes MAL programs column-at-a-time; its legacy
-parallel tactic chunks *one* instruction at a time with a full barrier
-after each, so every intermediate is still materialized globally.  This
-package is the second execution engine: it partitions a compiled program
-into pipeline *fragments* at blocking boundaries (sort, full aggregate,
-top-N merge, join build sides), splits the base table into fixed-size
-morsels, and runs the whole fragment per morsel on the shared worker
-pool — selection vectors and aggregate states stay thread-local, and
+The interpreter executes MAL programs column-at-a-time.  With
+``parallel=True`` it hands the program to this package first, which
+partitions it into pipeline *fragments* at blocking boundaries (sort,
+full aggregate, top-N merge, join build sides), splits the base table
+into fixed-size morsels, and runs the whole fragment per morsel on the
+shared worker pool — selection vectors and aggregate states stay thread-local, and
 the aggregates' merge step combines the states at the breaker (HyPer's
 morsel-driven parallelism, grafted onto the paper's Figure 2 mitosis).
 
-Modules (imported lazily to keep ``repro.mal`` -> ``repro.exec.morsels``
-free of import cycles):
+Modules (imported lazily to keep ``repro.mal`` <-> ``repro.exec`` free of
+import cycles):
 
-``morsels``    the shared morsel splitter and chunk packer
+``morsels``    the morsel splitter and per-morsel result packer
 ``fragments``  pipeline-breaker analysis over ``repro.mal.program``
 ``executor``   the morsel dispatcher driving the worker pool
 ``stats``      live executor counters behind ``sys.exec_stats``

@@ -1,8 +1,7 @@
-"""Morsel splitting and chunk packing, shared across execution paths.
+"""Morsel splitting and packing of per-morsel results.
 
-One splitter serves both the morsel-driven fragment executor and the
-legacy per-instruction chunked tactic, so the two paths agree on work
-granularity.  The old interpreter heuristic
+The morsel-driven fragment executor splits its base table here and packs
+the per-morsel outputs back into one value.  The old interpreter heuristic
 (``max(min_parallel_rows // 2, ceil(n / workers))``) could hand out a
 single oversized chunk just above the parallel threshold and left a tiny
 imbalanced tail chunk; this splitter always produces evenly sized

@@ -15,22 +15,22 @@ decisions (the paper's third optimization level) happen here:
 * group-bys reuse the hash index's precomputed group ids when grouping a
   bare persistent column.
 
-Instructions marked parallelizable are executed chunked over a thread pool
-when they exceed the chunking threshold — the "mitosis" of paper Figure 2.
+With ``parallel=True`` the program's pipeline fragment — the
+parallelizable instructions over one base table — is handed to the morsel
+executor (:mod:`repro.exec`) before the loop runs; the interpreter then
+executes only the sequential remainder.  This is the "mitosis" of paper
+Figure 2.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.algebra import expr as E
 from repro.errors import DatabaseError, QueryTimeoutError
-from repro.exec.morsels import morsel_bounds, pack_values
 from repro.mal import operators as ops
 from repro.mal.codegen import compile_select
 from repro.mal.program import MALProgram
@@ -84,11 +84,8 @@ class ExecutionConfig:
     parallel: bool = False
     max_workers: int = 4
     min_parallel_rows: int = 1 << 16
-    #: target rows per morsel for both parallel execution paths
+    #: target rows per morsel of the morsel executor (repro.exec)
     morsel_rows: int = 1 << 16
-    #: "morsel" runs whole pipeline fragments per morsel (repro.exec);
-    #: "chunked" restricts parallelism to the legacy per-instruction tactic
-    executor: str = "morsel"
     use_imprints: bool = True
     use_hash_index: bool = True
     use_order_index: bool = True
@@ -143,8 +140,8 @@ class ExecutionContext:
         #: optional dict of plan-phase timings (ns) for the query log; the
         #: top-level Interpreter.run adds its "execute" share on exit
         self.phases = phases
-        #: optional repro.obs.spans.StatementSpans; instruction/chunk spans
-        #: are recorded only when the handle sampled deep
+        #: optional repro.obs.spans.StatementSpans; instruction spans are
+        #: recorded only when the handle sampled deep
         self.spans = spans
         #: prepared-statement argument values (python domain), or None
         self.params = params
@@ -346,15 +343,12 @@ class Interpreter:
 
         Returns the set of vars the executor already produced (the loops
         skip those instructions), or None to run everything sequentially.
-        A flat instruction trace (EXPLAIN ANALYZE) disables delegation so
-        the per-instruction profile reflects what actually ran.
+        A flat instruction trace (``Connection.trace_query``) disables
+        delegation so the per-instruction profile reflects what actually
+        ran.
         """
         config = self.ctx.config
-        if (
-            not config.parallel
-            or config.executor != "morsel"
-            or self.ctx.trace is not None
-        ):
+        if not config.parallel or self.ctx.trace is not None:
             return None
         from repro.exec.executor import try_morsel_execute
 
@@ -436,11 +430,7 @@ class Interpreter:
     def _op_map(self, instr):
         expression, input_vars = instr.args
         inputs = [self._get(v) for v in input_vars]
-        result = self._run_maybe_chunked(
-            instr,
-            lambda chunk_inputs: eval_value(expression, chunk_inputs, self.ctx),
-            inputs,
-        )
+        result = eval_value(expression, inputs, self.ctx)
         has_vector_input = any(
             isinstance(v, V) and not v.is_scalar for v in inputs
         )
@@ -460,11 +450,7 @@ class Interpreter:
         accelerated = self._try_index_select(expression, input_vars, inputs)
         if accelerated is not None:
             return accelerated
-        result = self._run_maybe_chunked(
-            instr,
-            lambda chunk_inputs: eval_pred(expression, chunk_inputs, self.ctx),
-            inputs,
-        )
+        result = eval_pred(expression, inputs, self.ctx)
         n = ExecutionContext._input_length(inputs)
         if isinstance(result, BoolVec) and len(result) == 1 and n != 1:
             # a constant predicate evaluates to one cell; broadcast it to
@@ -913,54 +899,6 @@ class Interpreter:
         ]
         self._result = MaterializedResult(list(names), columns)
         return None
-
-    # -- chunked (parallel) execution ----------------------------------------------------------------
-
-    def _run_maybe_chunked(self, instr, kernel, inputs: list):
-        config = self.ctx.config
-        n = ExecutionContext._input_length(inputs)
-        if (
-            not config.parallel
-            or not instr.parallelizable
-            or n < config.min_parallel_rows
-        ):
-            return kernel(inputs)
-        workers = max(1, config.max_workers)
-        bounds = morsel_bounds(n, config.morsel_rows, workers)
-        if len(bounds) <= 1:
-            return kernel(inputs)
-
-        def run_chunk(bound):
-            start, stop = bound
-            chunk_inputs = [
-                vec
-                if not isinstance(vec, V) or vec.is_scalar
-                else V(vec.type, vec.data[start:stop], vec.heap)
-                for vec in inputs
-            ]
-            return kernel(chunk_inputs)
-
-        spans = self.ctx.spans
-        if spans is not None and spans.deep:
-            # the open instruction span is this thread's stack top; chunk
-            # spans recorded from workers hang off it explicitly
-            parent = spans.current()
-            plain_chunk = run_chunk
-
-            def run_chunk(bound):
-                t0 = time.perf_counter_ns()
-                out = plain_chunk(bound)
-                spans.record(
-                    "chunk", "chunk", t0, time.perf_counter_ns(),
-                    parent=parent, rows=bound[1] - bound[0],
-                    worker=threading.current_thread().name,
-                )
-                return out
-
-        pool = self.ctx.database.thread_pool
-        self._tactic = f"chunked:{len(bounds)}"
-        results = list(pool.map(run_chunk, bounds))
-        return pack_values(results)
 
     # -- index-accelerated selection -------------------------------------------------------------------
 

@@ -4,7 +4,8 @@ A compiled query is a straight-line list of :class:`Instruction` values in
 SSA form: each instruction writes exactly one fresh variable.  This mirrors
 MonetDB's MAL plans and is what makes the second optimization level of the
 paper (common sub-expression elimination) a dictionary lookup during code
-generation, and parallel "mitosis" a per-instruction property.
+generation, and the parallel "mitosis" of pipeline fragments a
+per-instruction property.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ __all__ = ["Instruction", "MALProgram"]
 class Instruction:
     """One MAL instruction: ``X_var := op(args...)``.
 
-    ``parallelizable`` marks instructions the interpreter may run chunked
-    (paper Figure 2: operators are either "blocking" or "parallelizable").
+    ``parallelizable`` marks instructions the morsel executor may run per
+    morsel inside a pipeline fragment (paper Figure 2: operators are either
+    "blocking" or "parallelizable").
     """
 
     var: int

@@ -31,7 +31,7 @@ class InstructionProfile:
     detail: str  # the rendered instruction text
     rows_in: int
     rows_out: int
-    tactic: str | None  # e.g. "hash_join", "order_index", "chunked:4"
+    tactic: str | None  # e.g. "hash_join", "order_index", "direct"
     wall_ns: int
 
 

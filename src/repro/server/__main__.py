@@ -2,7 +2,10 @@
 
 ``--async`` serves through the asyncio front end
 (:class:`repro.server.aio.AsyncServer`) with admission control; the
-default remains the classic thread-per-connection server.
+default remains the classic thread-per-connection server.  Any of the
+admission flags (``--max-sessions``, ``--queue-depth``,
+``--session-quota``, ``--workers``) implies ``--async``, since only that
+front end has them.
 """
 
 from __future__ import annotations
@@ -27,14 +30,18 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--async", dest="use_async", action="store_true",
                         help="serve through the asyncio front end")
-    parser.add_argument("--max-sessions", type=int, default=256,
-                        help="async: connection cap before shedding")
-    parser.add_argument("--queue-depth", type=int, default=128,
-                        help="async: global in-flight statement cap")
-    parser.add_argument("--session-quota", type=int, default=8,
-                        help="async: per-session in-flight statement cap")
-    parser.add_argument("--workers", type=int, default=8,
-                        help="async: execution worker threads")
+    parser.add_argument("--max-sessions", type=int, default=None,
+                        help="connection cap before shedding "
+                        "(implies --async; default 256)")
+    parser.add_argument("--queue-depth", type=int, default=None,
+                        help="global in-flight statement cap "
+                        "(implies --async; default 128)")
+    parser.add_argument("--session-quota", type=int, default=None,
+                        help="per-session in-flight statement cap "
+                        "(implies --async; default 8)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="execution worker threads "
+                        "(implies --async; default 8)")
     parser.add_argument("--no-binary", action="store_true",
                         help="refuse binary result negotiation")
     args = parser.parse_args(argv)
@@ -48,14 +55,18 @@ def main(argv=None) -> int:
         timeout=args.timeout,
         allow_binary=not args.no_binary,
     )
-    if args.use_async:
-        server = AsyncServer(
-            **common,
-            max_sessions=args.max_sessions,
-            max_queue_depth=args.queue_depth,
-            session_quota=args.session_quota,
-            workers=args.workers,
+    admission = {
+        key: value
+        for key, value in (
+            ("max_sessions", args.max_sessions),
+            ("max_queue_depth", args.queue_depth),
+            ("session_quota", args.session_quota),
+            ("workers", args.workers),
         )
+        if value is not None
+    }
+    if args.use_async or admission:
+        server = AsyncServer(**common, **admission)
     else:
         server = Server(**common)
     server.start()

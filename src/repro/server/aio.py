@@ -444,8 +444,6 @@ class AsyncServer:
                         frames = await item
                     finally:
                         session.inflight -= 1
-                    if frames is CLOSE:
-                        return
                 for ftype, fpayload in frames:
                     self._write_frame(conn.writer, ftype, fpayload)
                 await conn.writer.drain()

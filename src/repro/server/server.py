@@ -8,6 +8,7 @@ lives in :mod:`repro.server.aio`; both share the protocol logic of
 
 from __future__ import annotations
 
+import selectors
 import socket
 import socketserver
 import subprocess
@@ -227,6 +228,8 @@ def spawn_server_process(
     The separate process gives the socket configurations their own memory
     space and interpreter, as in the paper's client/server measurements.
     ``use_async`` spawns the asyncio front end instead of the threaded one.
+    A child that has not announced its port within ``startup_wait``
+    seconds is killed and reaped, and :class:`DatabaseError` is raised.
     """
     args = [
         sys.executable,
@@ -245,15 +248,29 @@ def spawn_server_process(
         args += ["--directory", directory]
     if timeout:
         args += ["--timeout", str(timeout)]
+    # unbuffered, so every byte the selector reports is read by readline()
     process = subprocess.Popen(
-        args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+        args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0
     )
     deadline = time.monotonic() + startup_wait
-    line = process.stdout.readline()
-    while not line.startswith("READY"):
-        if time.monotonic() > deadline or process.poll() is not None:
+    port = None
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(process.stdout, selectors.EVENT_READ)
+            while port is None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    break
+                line = process.stdout.readline()
+                if not line:  # end of file: the child exited
+                    break
+                if line.startswith(b"READY"):
+                    port = int(line.split()[1])
+    finally:
+        if port is None:
             process.kill()
-            raise DatabaseError("server process failed to start")
-        line = process.stdout.readline()
-    port = int(line.split()[1])
+            process.wait()
+            process.stdout.close()
+    if port is None:
+        raise DatabaseError("server process failed to start")
     return process, port

@@ -1,7 +1,9 @@
 """Smoke tests for the CLI entry points and the package conveniences."""
 
+import selectors
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,3 +96,53 @@ class TestServerCLI:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+    def test_spawn_gives_up_on_a_silent_child(self, monkeypatch):
+        """A child that never announces its port is killed and reaped
+        once ``startup_wait`` runs out, not waited on until it exits."""
+        from repro.errors import DatabaseError
+        from repro.server import spawn_server_process
+
+        real_popen = subprocess.Popen
+        children = []
+
+        def sleeping_child(args, **kwargs):
+            child = real_popen(
+                [sys.executable, "-c", "import time; time.sleep(20)"],
+                **kwargs,
+            )
+            children.append(child)
+            return child
+
+        monkeypatch.setattr(subprocess, "Popen", sleeping_child)
+        started = time.monotonic()
+        with pytest.raises(DatabaseError):
+            spawn_server_process(startup_wait=0.5)
+        assert time.monotonic() - started < 5.0
+        assert children[0].returncode is not None
+
+    def test_max_sessions_flag_sheds_second_client(self):
+        """The admission flags reach the server the CLI starts."""
+        from repro.errors import DatabaseError
+        from repro.server import RemoteConnection
+
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--port", "0",
+             "--max-sessions", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0,
+        )
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(process.stdout, selectors.EVENT_READ)
+                assert selector.select(60), "server did not start"
+            line = process.stdout.readline()
+            assert line.startswith(b"READY"), line
+            port = int(line.split()[1])
+            with RemoteConnection("127.0.0.1", port, "pg") as first:
+                with pytest.raises(DatabaseError, match="capacity"):
+                    RemoteConnection("127.0.0.1", port, "pg")
+                assert first.query("SELECT 1").fetchall() == [(1,)]
+        finally:
+            process.terminate()
+            process.wait(timeout=10)
+            process.stdout.close()

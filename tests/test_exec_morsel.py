@@ -1,11 +1,11 @@
 """Morsel-driven executor: equivalence, aggregate merges, stats, shutdown.
 
 The tentpole property is executor transparency: every query must return
-the same result whether it runs sequentially, through the legacy chunked
-tactic, or morsel-parallel with aggregate-state merges.  Integer,
-decimal, string, count, min/max, and median aggregates are bit-identical
-by construction; float sums/averages merge by re-associated addition, so
-comparisons normalize floats through rounding.
+the same result whether it runs sequentially or morsel-parallel with
+aggregate-state merges.  Integer, decimal, string, count, min/max, and
+median aggregates are bit-identical by construction; float sums/averages
+merge by re-associated addition, so comparisons normalize floats through
+rounding.
 """
 
 from __future__ import annotations
@@ -314,16 +314,6 @@ EQUIV_QUERIES = [
 def test_morsel_matches_sequential(pconn, sql, ordered):
     par, seq = _both(pconn, sql, ordered)
     assert par == seq
-
-
-def test_chunked_executor_matches_sequential(pconn):
-    pconn._database.config.executor = "chunked"
-    try:
-        for sql, ordered in EQUIV_QUERIES:
-            par, seq = _both(pconn, sql, ordered)
-            assert par == seq, sql
-    finally:
-        pconn._database.config.executor = "morsel"
 
 
 def test_morsel_with_deep_spans_matches(pconn):

@@ -81,9 +81,16 @@ class TestCodegen:
 
 
 class TestParallelExecution:
-    """The chunked 'mitosis' path (paper Figure 2)."""
+    """The 'mitosis' of paper Figure 2, run by the morsel executor."""
+
+    @staticmethod
+    def _exec_stats(conn):
+        return conn.query(
+            "SELECT fragments_completed, morsels_completed FROM sys.exec_stats"
+        ).fetchall()[0]
 
     def _query(self, parallel):
+        """Both answers, and the (fragments, morsels) each query ran."""
         from repro.core.database import Database
 
         db = Database(
@@ -98,12 +105,24 @@ class TestParallelExecution:
         conn.append("p", {"i": rng.integers(0, 10_000, 200_000)})
         # the paper's Figure 2 query
         result = conn.query("SELECT median(sqrt(i * 2)) FROM p").scalar()
+        after_median = self._exec_stats(conn)
         count = conn.query("SELECT count(*) FROM p WHERE i > 5000").scalar()
+        after_count = self._exec_stats(conn)
         db.shutdown()
-        return result, count
+        ran = [
+            after_median,
+            tuple(b - a for a, b in zip(after_median, after_count)),
+        ]
+        return (result, count), ran
 
     def test_parallel_equals_sequential(self):
-        assert self._query(True) == self._query(False)
+        parallel, parallel_ran = self._query(True)
+        sequential, sequential_ran = self._query(False)
+        assert parallel == sequential
+        # each query ran as one fragment split over several morsels
+        for fragments, morsels in parallel_ran:
+            assert fragments == 1 and morsels > 1
+        assert sequential_ran == [(0, 0), (0, 0)]
 
     def test_small_columns_not_chunked(self):
         from repro.core.database import Database
@@ -113,6 +132,7 @@ class TestParallelExecution:
         conn.execute("CREATE TABLE s (i INTEGER)")
         conn.append("s", {"i": np.arange(100, dtype=np.int32)})
         assert conn.query("SELECT sum(i) FROM s").scalar() == 4950
+        assert self._exec_stats(conn) == (0, 0)
         db.shutdown()
 
 

@@ -2,9 +2,9 @@
 
 The tracer reproduces MonetDB's TRACE: per-instruction wall time,
 input/output cardinalities and the tactical decision the interpreter made
-(hash vs. merge join, index usage, chunked execution).  These tests pin
-the contract: no tracing work when tracing is off, and trace numbers that
-agree with the actual result when it is on.
+(hash vs. merge join, index usage, join and grouping kernel paths).
+These tests pin the contract: no tracing work when tracing is off, and
+trace numbers that agree with the actual result when it is on.
 """
 
 import pytest
